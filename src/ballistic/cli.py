@@ -17,6 +17,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -318,8 +319,9 @@ def _build_scenario(sections, section_lines, errors, name: str) -> Scenario | No
         if tvals["count"] is not None and tvals["span"] is not None:
             if tvals["count"] < 1:
                 errors.append((traj_r.line, f"trajectory count must be >= 1, got {tvals['count']}"))
-            elif not tvals["span"] > 0:
-                errors.append((traj_r.line, f"trajectory span must be > 0, got {tvals['span']}"))
+            elif not 0 < tvals["span"] < math.inf:
+                errors.append((traj_r.line,
+                               f"trajectory span must be finite and > 0, got {tvals['span']}"))
             elif tvals["dt"] is not None and not tvals["dt"] > 0:
                 errors.append((traj_r.line, f"trajectory dt must be > 0, got {tvals['dt']}"))
             else:

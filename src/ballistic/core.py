@@ -28,6 +28,12 @@ class ParameterError(ValueError):
     """A physical parameter, grid setting or field shape is out of range."""
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Unit-system anchor.
@@ -40,6 +46,7 @@ class PhysicalParams:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(hbar=self.hbar, mass=self.mass)
         if not self.hbar > 0:
             raise ParameterError(f"hbar must be > 0, got {self.hbar}")
         if not self.mass > 0:
@@ -61,6 +68,7 @@ class SlitSource:
     drift: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(center=self.center, sigma0=self.sigma0, drift=self.drift)
         if not self.sigma0 > 0:
             raise ParameterError(f"sigma0 must be > 0, got {self.sigma0}")
 
@@ -91,6 +99,7 @@ class Grid:
     nt: int
 
     def __post_init__(self) -> None:
+        _require_finite(x_min=self.x_min, x_max=self.x_max, t_max=self.t_max)
         if not self.x_max > self.x_min:
             raise ParameterError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         if self.nx < 3:

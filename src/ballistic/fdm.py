@@ -48,7 +48,6 @@ __all__ = [
 
 MODES = ("closed_form", "local_recursion")
 SCHEMES = ("explicit", "implicit")
-BOUNDARIES = ("dirichlet_zero",)
 
 # slack for a requested dt sitting exactly on the stability boundary
 _R_LIMIT = 0.5 * (1.0 + 1e-9)
@@ -161,7 +160,6 @@ class SolverConfig:
     params: PhysicalParams = PhysicalParams()
     mode: str = "closed_form"
     scheme: str = "explicit"
-    boundary: str = "dirichlet_zero"
     norm_monitor_tolerance: float = 1e-6
     clamp_negative_diffusivity: bool = True
 
@@ -170,8 +168,6 @@ class SolverConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.boundary not in BOUNDARIES:
-            raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if not self.norm_monitor_tolerance > 0:
             raise ParameterError("norm_monitor_tolerance must be > 0")
         if self.source.drift != 0.0:

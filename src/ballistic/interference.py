@@ -6,16 +6,23 @@ the drift, spreading and shifter contributions of both slits.  A cross
 term sqrt(P1 P2)(u1 - u2) sin(phi12) feeds the current even where the
 packet velocities cancel, and is exposed separately as the entangling
 current.
+
+Every field is a view of one kernel, `_two_slit_terms`, which computes
+sigma(t)^2, the offsets, densities, velocities and phi12 once per call and
+validates t once; for a scalar t its time-only factors are Python floats.
+`intensity_grid` runs it on blocks of time rows.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource
-from .analytic import gaussian_density, osmotic_velocity, sigma_at, total_velocity
+from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource, _require_finite
+# bound here only for bench/tracing.py, which wraps it; the kernel inlines sigma(t)^2
+from .analytic import sigma_at  # noqa: F401
 
 __all__ = [
     "PhaseShifterSchedule",
@@ -32,6 +39,8 @@ __all__ = [
 # Densities at or below this floor yield an undefined field velocity (NaN).
 VELOCITY_FLOOR = 1e-300
 
+GRID_ROW_BLOCK = 32  # time rows per kernel call in intensity_grid
+
 
 @dataclass(frozen=True)
 class PhaseShifterSchedule:
@@ -47,21 +56,22 @@ class PhaseShifterSchedule:
     t_end: float
 
     def __post_init__(self) -> None:
+        _require_finite(total_shift=self.total_shift, t_start=self.t_start, t_end=self.t_end)
         if self.t_start < 0:
             raise ParameterError(f"t_start must be >= 0, got {self.t_start}")
         if self.t_end < self.t_start:
-            raise ParameterError(
-                f"t_end must be >= t_start, got t_start={self.t_start}, t_end={self.t_end}"
-            )
+            raise ParameterError(f"t_end must be >= t_start, "
+                                 f"got t_start={self.t_start}, t_end={self.t_end}")
 
     def value_at(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.t_end > self.t_start:
-            frac = np.clip((t - self.t_start) / (self.t_end - self.t_start), 0.0, 1.0)
+        start, span = self.t_start, self.t_end - self.t_start
+        if np.ndim(t) == 0:  # scalar times stay Python floats
+            t = float(t)
+            frac = min(max((t - start) / span, 0.0), 1.0) if span > 0 else float(t > start)
         else:
-            frac = (t > self.t_start).astype(float)
-        out = self.total_shift * frac
-        return out if out.ndim else float(out)
+            t = np.asarray(t, dtype=float)
+            frac = np.clip((t - start) / span, 0.0, 1.0) if span > 0 else (t > start) * 1.0
+        return self.total_shift * frac
 
 
 @dataclass(frozen=True)
@@ -87,78 +97,65 @@ class DoubleSlitSystem:
         if self.blocked_slit not in (None, 1, 2):
             raise ParameterError(f"blocked_slit must be None, 1 or 2, got {self.blocked_slit}")
 
-    def shift_at(self, t):
-        if self.shifter is None:
-            return np.multiply(t, 0.0)
-        return self.shifter.value_at(t)
+
+_Terms = namedtuple("_Terms", "density current entangling phi")
+
+
+def _two_slit_terms(system: DoubleSlitSystem, x, t) -> _Terms:
+    """Density, current, entangling current and relative phase at (x, t),
+    built from each slit's density P, total velocity v and osmotic velocity u."""
+    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    if (t < 0) if isinstance(t, float) else np.any(t < 0):
+        raise ParameterError("time must be >= 0")
+    p = system.params
+    diff, m_hbar = p.diffusivity, p.mass / p.hbar
+    slits = []
+    for index, slit in ((1, system.slit1), (2, system.slit2)):
+        u0 = diff / slit.sigma0
+        sig2 = slit.sigma0**2 + (u0 * t) ** 2
+        rate = u0**2 * t / sig2  # spreading velocity per unit offset
+        norm = (2.0 * np.pi * sig2) ** -0.5 * (system.blocked_slit != index)
+        xi = x - (slit.center + slit.drift * t)
+        xi2 = xi * xi
+        slits.append((np.exp(xi2 * (-0.5 / sig2)) * norm, slit.drift + xi * rate,
+                      xi * (diff / sig2), xi2 * (0.5 * m_hbar * rate)))
+    (p1, v1, u1, spread1), (p2, v2, u2, spread2) = slits
+    # drift part m/hbar (v2 (x - c2) - v1 (x - c1)) as a slope in x plus an offset
+    d1, d2 = system.slit1.drift, system.slit2.drift
+    offset = -m_hbar * (d2 * system.slit2.center - d1 * system.slit1.center)
+    if system.shifter is not None:
+        offset = offset - system.shifter.value_at(t)
+    if system.include_energy_term:
+        offset = offset - 0.5 * m_hbar * (d2**2 - d1**2) * t
+    phi = (spread2 - spread1) + (m_hbar * (d2 - d1) * x + offset)
+    # the interference law as (sqrt P1 - sqrt P2)^2 + 2 sqrt(P1 P2)(1 + cos phi12) >= 0
+    root1, root2, cos_phi = np.sqrt(p1), np.sqrt(p2), np.cos(phi)
+    density = (root1 - root2) ** 2 + 2.0 * root1 * root2 * (1.0 + cos_phi)
+    cross = np.sqrt(p1 * p2)
+    entangling = cross * (u1 - u2) * np.sin(phi)
+    current = p1 * v1 + p2 * v2 + cross * (v1 + v2) * cos_phi + entangling
+    return _Terms(density, current, entangling, phi)
 
 
 def phase_difference(system: DoubleSlitSystem, x, t):
     """Relative phase phi2 - phi1 with the shifter value subtracted."""
-    p = system.params
-    s1, s2 = system.slit1, system.slit2
-    u01, u02 = s1.u0(p), s2.u0(p)
-    sig1sq = sigma_at(s1, p, t) ** 2
-    sig2sq = sigma_at(s2, p, t) ** 2
-    xi1 = x - s1.center - s1.drift * t
-    xi2 = x - s2.center - s2.drift * t
-    drift_part = (p.mass / p.hbar) * (s2.drift * (x - s2.center) - s1.drift * (x - s1.center))
-    spread_part = (p.mass * t / (2.0 * p.hbar)) * (
-        u02**2 * xi2**2 / sig2sq - u01**2 * xi1**2 / sig1sq
-    )
-    out = drift_part + spread_part - system.shift_at(t)
-    if system.include_energy_term:
-        out = out - 0.5 * p.mass * (s2.drift**2 - s1.drift**2) * t / p.hbar
-    return out
-
-
-def _slit_density(system: DoubleSlitSystem, index: int, x, t):
-    if system.blocked_slit == index:
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
-    slit = system.slit1 if index == 1 else system.slit2
-    return gaussian_density(slit, system.params, x, t)
+    return _two_slit_terms(system, x, t).phi
 
 
 def total_density(system: DoubleSlitSystem, x, t):
-    """Interference intensity P1 + P2 + 2 sqrt(P1 P2) cos(phi12).
-
-    Evaluated as (sqrt(P1) - sqrt(P2))^2 + 2 sqrt(P1 P2) (1 + cos phi12),
-    which is identical algebraically but cannot round below zero.
-    """
-    p1 = _slit_density(system, 1, x, t)
-    p2 = _slit_density(system, 2, x, t)
-    root1, root2 = np.sqrt(p1), np.sqrt(p2)
-    cos_phi = np.cos(phase_difference(system, x, t))
-    return (root1 - root2) ** 2 + 2.0 * root1 * root2 * (1.0 + cos_phi)
-
-
-def _slit_velocities(system: DoubleSlitSystem, x, t):
-    p = system.params
-    v1 = total_velocity(system.slit1, p, x, t)
-    v2 = total_velocity(system.slit2, p, x, t)
-    u1 = osmotic_velocity(system.slit1, p, x, t)
-    u2 = osmotic_velocity(system.slit2, p, x, t)
-    return v1, v2, u1, u2
+    """Interference intensity P1 + P2 + 2 sqrt(P1 P2) cos(phi12)."""
+    return _two_slit_terms(system, x, t).density
 
 
 def total_current(system: DoubleSlitSystem, x, t):
     """Probability current of the superposed field."""
-    p1 = _slit_density(system, 1, x, t)
-    p2 = _slit_density(system, 2, x, t)
-    v1, v2, u1, u2 = _slit_velocities(system, x, t)
-    phi = phase_difference(system, x, t)
-    cross = np.sqrt(p1 * p2)
-    return p1 * v1 + p2 * v2 + cross * (v1 + v2) * np.cos(phi) + cross * (u1 - u2) * np.sin(phi)
+    return _two_slit_terms(system, x, t).current
 
 
 def entangling_current(system: DoubleSlitSystem, x, t):
     """Cross-slit current sqrt(P1 P2)(u1 - u2) sin(phi12); the only term of
     the total current that survives where both packet contributions cancel."""
-    p1 = _slit_density(system, 1, x, t)
-    p2 = _slit_density(system, 2, x, t)
-    _, _, u1, u2 = _slit_velocities(system, x, t)
-    phi = phase_difference(system, x, t)
-    return np.sqrt(p1 * p2) * (u1 - u2) * np.sin(phi)
+    return _two_slit_terms(system, x, t).entangling
 
 
 def field_velocity(system: DoubleSlitSystem, x, t, *, floor: float = VELOCITY_FLOOR):
@@ -167,10 +164,9 @@ def field_velocity(system: DoubleSlitSystem, x, t, *, floor: float = VELOCITY_FL
     Callers that integrate trajectories must treat NaN as an undefined
     velocity sample, not as an error.
     """
-    dens = total_density(system, x, t)
-    cur = total_current(system, x, t)
-    safe = np.where(dens > floor, dens, 1.0)
-    return np.where(dens > floor, cur / safe, np.nan)
+    terms = _two_slit_terms(system, x, t)
+    out = np.full(np.shape(terms.density), np.nan)
+    return np.divide(terms.current, terms.density, out=out, where=terms.density > floor)
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,13 @@ class InterferenceGrid:
 
 def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> InterferenceGrid:
     """Evaluate density, relative phase and entangling current on a grid."""
-    x = grid.x()[None, :]
-    t = grid.times()[:, None]
-    return InterferenceGrid(
-        density=ScalarField(grid, total_density(system, x, t)),
-        phase_difference=ScalarField(grid, phase_difference(system, x, t)),
-        entangling_current=ScalarField(grid, entangling_current(system, x, t)),
-    )
+    x, t = grid.x(), grid.times()
+    values = [np.empty((t.size, x.size)) for _ in range(3)]
+    for start in range(0, t.size, GRID_ROW_BLOCK):
+        rows = slice(start, start + GRID_ROW_BLOCK)
+        terms = _two_slit_terms(system, x, t[rows, None])
+        values[0][rows] = terms.density
+        values[1][rows] = terms.phi
+        values[2][rows] = terms.entangling
+    # ScalarField copies its values: drop each buffer once it is copied
+    return InterferenceGrid(*(ScalarField(grid, values.pop(0)) for _ in range(3)))

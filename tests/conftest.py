@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ballistic import PhysicalParams, SlitSource
+
+# Property tests draw the same examples on every run: the seed comes from a
+# hash of each test, and no example database carries failures between runs.
+settings.register_profile("fixed_seed", derandomize=True, database=None)
+settings.load_profile("fixed_seed")
 
 
 @pytest.fixture

@@ -464,6 +464,34 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "line 3" in captured.err
 
 
+@pytest.mark.parametrize("target,override", [
+    ("fig3a", "slit1.center=nan"),
+    ("fig3a", "slit1.sigma0=inf"),
+    ("fig3a", "params.hbar=inf"),
+    ("fig3a", "grid.t_max=inf"),
+    ("fig3a", "slit2.drift=nan"),
+    ("fig4", "shifter.total_shift=nan"),
+    ("fig3a", "trajectories.span=inf"),
+])
+def test_main_rejects_non_finite_values(tmp_path, capsys, target, override):
+    out = tmp_path / "results"
+    assert main([target, "--out", str(out), "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_errors_carry_section_line():
+    with pytest.raises(ConfigError) as err:
+        load_scenario("fig4", overrides=["slit1.center=nan", "shifter.t_end=inf"])
+    found = dict(err.value.errors)
+    sections = {name: lineno for lineno, name in enumerate(PRESETS["fig4"].splitlines(), 1)
+                if name.startswith("[")}
+    assert "center must be finite" in found[sections["[slit1]"]]
+    assert "t_end must be finite" in found[sections["[shifter]"]]
+
+
 def test_main_missing_file(capsys):
     assert main(["no_such_file.cfg"]) == 2
     assert "cannot read config" in capsys.readouterr().err

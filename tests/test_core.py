@@ -90,6 +90,22 @@ def test_grid_validation(kw):
         Grid(**base)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: PhysicalParams(hbar=v),
+    lambda v: PhysicalParams(mass=v),
+    lambda v: SlitSource(center=v),
+    lambda v: SlitSource(sigma0=v),
+    lambda v: SlitSource(drift=v),
+    lambda v: Grid(x_min=v, x_max=1.0, nx=11, t_max=1.0, nt=10),
+    lambda v: Grid(x_min=-1.0, x_max=v, nx=11, t_max=1.0, nt=10),
+    lambda v: Grid(x_min=-1.0, x_max=1.0, nx=11, t_max=v, nt=10),
+], ids=["hbar", "mass", "center", "sigma0", "drift", "x_min", "x_max", "t_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_value_objects_reject_non_finite(build, value):
+    with pytest.raises(ParameterError, match="finite"):
+        build(value)
+
+
 def test_scalar_field_shape_and_immutability():
     g = Grid(x_min=0.0, x_max=1.0, nx=5, t_max=1.0, nt=2)
     values = np.zeros((3, 5))

@@ -171,7 +171,6 @@ def test_config_rejects_drifting_source():
 @pytest.mark.parametrize("field,value", [
     ("mode", "spectral"),
     ("scheme", "crank_nicolson"),
-    ("boundary", "periodic"),
 ])
 def test_config_rejects_unknown_names(unit_source, field, value):
     kw = {field: value}

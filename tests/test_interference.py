@@ -16,6 +16,8 @@ from ballistic import (
     field_velocity,
     gaussian_density,
     intensity_grid,
+    osmotic_velocity,
+    phase,
     phase_difference,
     total_current,
     total_density,
@@ -62,6 +64,9 @@ def test_shifter_validation():
         PhaseShifterSchedule(total_shift=1.0, t_start=-0.1, t_end=1.0)
     with pytest.raises(ParameterError):
         PhaseShifterSchedule(total_shift=1.0, t_start=2.0, t_end=1.0)
+    for bad in (dict(total_shift=math.nan), dict(t_start=math.inf), dict(t_end=math.nan)):
+        with pytest.raises(ParameterError, match="finite"):
+            PhaseShifterSchedule(**{**dict(total_shift=1.0, t_start=0.0, t_end=1.0), **bad})
 
 
 # --- system construction ---------------------------------------------------
@@ -261,3 +266,121 @@ def test_shift_equivalence_mod_two_pi(k):
     xs = np.linspace(-10.0, 10.0, 101)
     for t in (2.0, 5.0):
         assert np.abs(total_density(a, xs, t) - total_density(b, xs, t)).max() < 1e-12
+
+
+# --- kernel equivalence ----------------------------------------------------
+# A reference built from the single-slit closed forms in `analytic`, one
+# quantity at a time, as the two-slit fields are defined.
+
+FIELDS = (phase_difference, total_density, total_current, entangling_current, field_velocity)
+
+
+def reference_fields(system, x, t):
+    p = system.params
+    s1, s2 = system.slit1, system.slit2
+    p1 = gaussian_density(s1, p, x, t) * (system.blocked_slit != 1)
+    p2 = gaussian_density(s2, p, x, t) * (system.blocked_slit != 2)
+    v1, v2 = total_velocity(s1, p, x, t), total_velocity(s2, p, x, t)
+    u1, u2 = osmotic_velocity(s1, p, x, t), osmotic_velocity(s2, p, x, t)
+    # phase() carries the drift kinetic energy unless told otherwise
+    energy = None if system.include_energy_term else 0.0
+    phi = phase(s2, p, x, t, energy=energy) - phase(s1, p, x, t, energy=energy)
+    sched = system.shifter
+    if sched is not None:
+        t_arr = np.asarray(t, dtype=float)
+        if sched.t_end > sched.t_start:
+            frac = np.clip((t_arr - sched.t_start) / (sched.t_end - sched.t_start), 0.0, 1.0)
+        else:
+            frac = (t_arr > sched.t_start).astype(float)
+        phi = phi - sched.total_shift * frac
+    cross = np.sqrt(p1 * p2)
+    density = p1 + p2 + 2.0 * cross * np.cos(phi)
+    entangling = cross * (u1 - u2) * np.sin(phi)
+    current = p1 * v1 + p2 * v2 + cross * (v1 + v2) * np.cos(phi) + entangling
+    return {
+        phase_difference: phi,
+        total_density: density,
+        total_current: current,
+        entangling_current: entangling,
+        field_velocity: current / np.where(density > 0, density, 1.0),
+        "envelope": (np.sqrt(p1) + np.sqrt(p2)) ** 2,
+    }
+
+
+@st.composite
+def two_slit_systems(draw):
+    slit = lambda lo, hi: SlitSource(
+        center=draw(st.floats(min_value=lo, max_value=hi)),
+        sigma0=draw(st.floats(min_value=0.3, max_value=2.0)),
+        drift=draw(st.floats(min_value=-2.0, max_value=2.0)),
+    )
+    params = PhysicalParams(hbar=draw(st.floats(min_value=0.5, max_value=2.0)),
+                            mass=draw(st.floats(min_value=0.5, max_value=2.0)))
+    kind = draw(st.sampled_from(["none", "ramp", "step"]))
+    shifter = None
+    if kind != "none":
+        start = draw(st.floats(min_value=0.0, max_value=5.0))
+        width = draw(st.floats(min_value=0.1, max_value=3.0)) if kind == "ramp" else 0.0
+        shifter = PhaseShifterSchedule(total_shift=draw(st.floats(min_value=-10.0, max_value=10.0)),
+                                       t_start=start, t_end=start + width)
+    return DoubleSlitSystem(slit1=slit(-6.0, -1.0), slit2=slit(1.0, 6.0), params=params,
+                            shifter=shifter,
+                            include_energy_term=draw(st.booleans()),
+                            blocked_slit=draw(st.sampled_from([None, 1, 2])))
+
+
+@st.composite
+def sample_points(draw):
+    """x and t as scalars, 1-d arrays or a broadcast (t, x) grid."""
+    xs = st.floats(min_value=-12.0, max_value=12.0)
+    ts = st.floats(min_value=0.0, max_value=10.0)
+    layout = draw(st.sampled_from(["scalar", "x_array", "t_array", "grid"]))
+    if layout == "scalar":
+        return draw(xs), draw(ts)
+    x_arr = np.array(draw(st.lists(xs, min_size=1, max_size=9)))
+    t_arr = np.array(draw(st.lists(ts, min_size=1, max_size=9)))
+    if layout == "x_array":
+        return x_arr, draw(ts)
+    if layout == "t_array":
+        return draw(xs), t_arr
+    return x_arr[None, :], t_arr[:, None]
+
+
+@given(system=two_slit_systems(), point=sample_points())
+def test_fields_match_single_slit_closed_forms(system, point):
+    x, t = point
+    ref = reference_fields(system, x, t)
+    for field in FIELDS[:4]:
+        got = field(system, x, t)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(x), np.shape(t))
+        assert np.allclose(got, ref[field], rtol=1e-12, atol=1e-12), field.__name__
+    # J / P is compared where P is not a near-cancellation of the envelope;
+    # closer to a null any rounding of P is amplified without bound
+    velocity = np.broadcast_to(field_velocity(system, x, t), np.shape(ref["envelope"]))
+    conditioned = ref[total_density] > 0.1 * ref["envelope"]
+    assert np.allclose(velocity[conditioned], ref[field_velocity][conditioned],
+                       rtol=1e-12, atol=1e-12)
+    assert np.isnan(velocity[ref["envelope"] == 0.0]).all()
+
+
+def test_intensity_grid_matches_pointwise_fields(params):
+    sched = PhaseShifterSchedule(total_shift=2.5, t_start=1.0, t_end=3.0)
+    sys = DoubleSlitSystem(slit1=SlitSource(center=-3.0, sigma0=0.7, drift=0.2),
+                           slit2=SlitSource(center=4.0, sigma0=1.1, drift=-0.4),
+                           params=params, shifter=sched, include_energy_term=True)
+    # more rows than one evaluation block, and a partial last block
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=23, t_max=7.0, nt=70)
+    bundle = intensity_grid(sys, grid)
+    xs = grid.x()
+    for j, t in enumerate(grid.times()):
+        for field, pointwise in ((bundle.density, total_density),
+                                 (bundle.phase_difference, phase_difference),
+                                 (bundle.entangling_current, entangling_current)):
+            assert np.allclose(field.values[j], pointwise(sys, xs, t), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("t", [-0.1, np.array([0.0, 1.0, -1e-9])], ids=["scalar", "array"])
+def test_negative_time_rejected(params, field, t):
+    with pytest.raises(ParameterError):
+        field(mirrored(params), 0.5, t)
