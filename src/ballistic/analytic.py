@@ -8,8 +8,6 @@ broadcast over numpy arrays in x and t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ParameterError, PhysicalParams, SlitSource, uncertainty_norm
@@ -25,8 +23,6 @@ __all__ = [
     "kink_time",
     "closed_form_diffusivity",
     "phase",
-    "KinematicSample",
-    "sample_kinematics",
 ]
 
 
@@ -136,29 +132,3 @@ def phase(source: SlitSource, params: PhysicalParams, x, t,
         - energy * t
     )
     return action / params.hbar + extra_shift
-
-
-@dataclass(frozen=True)
-class KinematicSample:
-    """All pointwise closed-form quantities bundled for one (x, t)."""
-
-    x: float
-    t: float
-    density: float
-    osmotic: float
-    velocity: float
-    acceleration: float
-    phase: float
-
-
-def sample_kinematics(source: SlitSource, params: PhysicalParams, x: float, t: float,
-                      extra_shift: float = 0.0, energy: float | None = None) -> KinematicSample:
-    return KinematicSample(
-        x=float(x),
-        t=float(t),
-        density=float(gaussian_density(source, params, x, t)),
-        osmotic=float(osmotic_velocity(source, params, x, t)),
-        velocity=float(total_velocity(source, params, x, t)),
-        acceleration=float(total_acceleration(source, params, x, t)),
-        phase=float(phase(source, params, x, t, extra_shift, energy)),
-    )

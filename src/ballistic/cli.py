@@ -8,9 +8,12 @@ Config files use a flat sectioned key = value format:
     x_min = -10.0
     nx = 801
 
-Sections: params, grid, slit1, slit2, shifter, solver, trajectories,
-output.  Every validation problem is reported with the line it came from,
-and all problems are reported at once.  Identical configurations produce
+`_SCHEMA` is the single statement of that format: every section, the value
+object it builds, and each key's type (or allowed values) and default.  It
+drives unknown-name detection, typed reads, construction and
+`serialize_scenario`.  Every validation problem is reported with the line it
+came from (0 for overrides and missing sections), and all problems are
+reported at once, in line order.  Identical configurations produce
 byte-identical output files.
 """
 
@@ -27,7 +30,7 @@ import numpy as np
 from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource
 from .analytic import gaussian_density
 from .interference import DoubleSlitSystem, PhaseShifterSchedule, intensity_grid
-from .fdm import NormDriftError, SolveResult, SolverConfig, StabilityError, solve
+from .fdm import MODES, SCHEMES, NormDriftError, SolveResult, SolverConfig, StabilityError, solve
 from .trajectories import TrajectorySet, double_slit_trajectories, single_slit_trajectories
 
 __all__ = [
@@ -61,6 +64,10 @@ OUTPUT_NAMES = (
 # fields rendered from magnitude plus a sign companion in PGM output
 _SIGNED_FIELDS = frozenset({"phase_difference", "entangling_current"})
 
+# most float64 values one grid field or trajectory table may hold (400 MB);
+# a larger plan is a config error rather than an allocation attempt
+_MAX_VALUES = 50_000_000
+
 
 class ConfigError(ValueError):
     """One or more configuration problems; each entry is (line, message)."""
@@ -76,13 +83,25 @@ class TrajectoryRequest:
     span: float = 3.0
     dt: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ParameterError(f"trajectory count must be >= 1, got {self.count}")
+        if not 0 < self.span < math.inf:
+            raise ParameterError(f"trajectory span must be finite and > 0, got {self.span}")
+        if self.dt is not None and not self.dt > 0:
+            raise ParameterError(f"trajectory dt must be > 0, got {self.dt}")
+
 
 @dataclass(frozen=True)
 class SolverRequest:
     mode: str = "closed_form"
     scheme: str = "explicit"
-    source_index: int = 1
+    source: int = 1
     norm_tolerance: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if self.source not in (1, 2):
+            raise ParameterError(f"solver source must be 1 or 2, got {self.source}")
 
 
 @dataclass(frozen=True)
@@ -150,283 +169,209 @@ def _read_sections(text: str):
     return sections, section_lines, errors
 
 
-_KNOWN_KEYS = {
-    "params": ("hbar", "mass"),
-    "grid": ("x_min", "x_max", "nx", "t_max", "nt"),
-    "slit1": ("center", "sigma0", "drift"),
-    "slit2": ("center", "sigma0", "drift"),
-    "shifter": ("total_shift", "t_start", "t_end"),
-    "solver": ("mode", "scheme", "source", "norm_tolerance"),
-    "trajectories": ("count", "span", "dt"),
-    "output": ("select",),
+def _split_select(select: str) -> list[str]:
+    return [part.strip() for part in select.split(",") if part.strip()]
+
+
+_REQUIRED = object()  # default of a key its section cannot omit
+_SLIT_KEYS = {"center": (float, _REQUIRED), "sigma0": (float, 1.0), "drift": (float, 0.0)}
+
+# The config format.  Each section maps to the builder of its value object,
+# which is the Scenario field of the same name, and to its keys; each key
+# maps to its type or its allowed values, and to its default.  [grid],
+# [slit1] and [output] must be present, [params] builds from its defaults
+# when absent, and any other absent section leaves its field None.
+_SCHEMA = {
+    "params": (PhysicalParams, {"hbar": (float, 1.0), "mass": (float, 1.0)}),
+    "grid": (Grid, {"x_min": (float, _REQUIRED), "x_max": (float, _REQUIRED),
+                    "nx": (int, _REQUIRED), "t_max": (float, _REQUIRED),
+                    "nt": (int, _REQUIRED)}),
+    "slit1": (SlitSource, _SLIT_KEYS),
+    "slit2": (SlitSource, _SLIT_KEYS),
+    "shifter": (PhaseShifterSchedule, {"total_shift": (float, _REQUIRED),
+                                       "t_start": (float, _REQUIRED),
+                                       "t_end": (float, _REQUIRED)}),
+    "solver": (SolverRequest, {"mode": (MODES, "closed_form"), "scheme": (SCHEMES, "explicit"),
+                               "source": (int, 1), "norm_tolerance": (float, 1e-6)}),
+    "trajectories": (TrajectoryRequest, {"count": (int, 21), "span": (float, 3.0),
+                                         "dt": (float, None)}),
+    "output": (_split_select, {"select": (str, _REQUIRED)}),
 }
+_REQUIRED_SECTIONS = ("grid", "slit1", "output")
 
 
-class _SectionReader:
-    """Pulls typed values out of one raw section, logging errors with the
-    line they came from."""
-
-    def __init__(self, name, sections, section_lines, errors):
-        self.name = name
-        self.data = sections.get(name, {})
-        self.present = name in sections
-        self.line = section_lines.get(name, 0)
-        self.errors = errors
-
-    def _fetch(self, key):
-        return self.data.get(key)
-
-    def float_(self, key, default=None, required=False):
-        item = self._fetch(key)
-        if item is None:
-            if required and self.present:
-                self.errors.append((self.line, f"[{self.name}] is missing required key {key!r}"))
-            return default
-        value, line = item
+def _typed(sec: str, key: str, data: dict, line: int, errors: list):
+    """The value of one key as its schema type; the schema default when
+    the key is absent or malformed, logging why."""
+    kind, default = _SCHEMA[sec][1][key]
+    if key not in data:
+        if default is _REQUIRED:
+            errors.append((line, f"[{sec}] is missing required key {key!r}"))
+        return default
+    raw, key_line = data[key]
+    if isinstance(kind, tuple):
+        if raw in kind:
+            return raw
+        wanted = "one of " + ", ".join(kind)
+    else:
         try:
-            return float(value)
+            return kind(raw)
         except ValueError:
-            self.errors.append((line, f"{key} must be a number, got {value!r}"))
-            return default
-
-    def int_(self, key, default=None, required=False):
-        item = self._fetch(key)
-        if item is None:
-            if required and self.present:
-                self.errors.append((self.line, f"[{self.name}] is missing required key {key!r}"))
-            return default
-        value, line = item
-        try:
-            return int(value)
-        except ValueError:
-            self.errors.append((line, f"{key} must be an integer, got {value!r}"))
-            return default
-
-    def choice(self, key, allowed, default=None):
-        item = self._fetch(key)
-        if item is None:
-            return default
-        value, line = item
-        if value not in allowed:
-            self.errors.append((line, f"{key} must be one of {', '.join(allowed)}, got {value!r}"))
-            return default
-        return value
+            wanted = "a number" if kind is float else "an integer"
+    errors.append((key_line, f"{key} must be {wanted}, got {raw!r}"))
+    return default
 
 
-def _build_scenario(sections, section_lines, errors, name: str) -> Scenario | None:
-    for sec, keys in sections.items():
-        if sec not in _KNOWN_KEYS:
-            errors.append((section_lines.get(sec, 0), f"unknown section [{sec}]"))
-            continue
-        for key, (_, line) in keys.items():
-            if key not in _KNOWN_KEYS[sec]:
-                errors.append((line, f"unknown key {key!r} in section [{sec}]"))
-
-    for required in ("grid", "slit1", "output"):
-        if required not in sections:
-            errors.append((0, f"missing required section [{required}]"))
-
-    params_r = _SectionReader("params", sections, section_lines, errors)
-    grid_r = _SectionReader("grid", sections, section_lines, errors)
-    slit1_r = _SectionReader("slit1", sections, section_lines, errors)
-    slit2_r = _SectionReader("slit2", sections, section_lines, errors)
-    shifter_r = _SectionReader("shifter", sections, section_lines, errors)
-    solver_r = _SectionReader("solver", sections, section_lines, errors)
-    traj_r = _SectionReader("trajectories", sections, section_lines, errors)
-    output_r = _SectionReader("output", sections, section_lines, errors)
-
-    params = None
-    try:
-        params = PhysicalParams(
-            hbar=params_r.float_("hbar", 1.0), mass=params_r.float_("mass", 1.0)
-        )
-    except (ParameterError, TypeError) as exc:
-        errors.append((params_r.line, str(exc)))
-
-    grid = None
-    if grid_r.present:
-        gvals = dict(
-            x_min=grid_r.float_("x_min", required=True),
-            x_max=grid_r.float_("x_max", required=True),
-            nx=grid_r.int_("nx", required=True),
-            t_max=grid_r.float_("t_max", required=True),
-            nt=grid_r.int_("nt", required=True),
-        )
-        if all(v is not None for v in gvals.values()):
-            try:
-                grid = Grid(**gvals)
-            except ParameterError as exc:
-                errors.append((grid_r.line, str(exc)))
-
-    def build_slit(reader):
-        if not reader.present:
-            return None
-        vals = dict(
-            center=reader.float_("center", required=True),
-            sigma0=reader.float_("sigma0", 1.0),
-            drift=reader.float_("drift", 0.0),
-        )
-        if any(v is None for v in vals.values()):
-            return None
-        try:
-            return SlitSource(**vals)
-        except ParameterError as exc:
-            errors.append((reader.line, str(exc)))
-            return None
-
-    slit1 = build_slit(slit1_r)
-    slit2 = build_slit(slit2_r)
-    if slit1 is not None and slit2 is not None and slit1.center == slit2.center:
-        errors.append((slit2_r.line, "slit centers must be distinct"))
-
-    shifter = None
-    if shifter_r.present:
-        if "slit2" not in sections:
-            errors.append((shifter_r.line, "a phase shifter requires two sources ([slit2] missing)"))
-        svals = dict(
-            total_shift=shifter_r.float_("total_shift", required=True),
-            t_start=shifter_r.float_("t_start", required=True),
-            t_end=shifter_r.float_("t_end", required=True),
-        )
-        if all(v is not None for v in svals.values()):
-            try:
-                shifter = PhaseShifterSchedule(**svals)
-            except ParameterError as exc:
-                errors.append((shifter_r.line, str(exc)))
-
-    solver = None
-    if solver_r.present:
-        mode = solver_r.choice("mode", ("closed_form", "local_recursion"), "closed_form")
-        scheme = solver_r.choice("scheme", ("explicit", "implicit"), "explicit")
-        source_index = solver_r.int_("source", 1)
-        norm_tol = solver_r.float_("norm_tolerance", 1e-6)
-        if source_index not in (1, 2):
-            errors.append((solver_r.line, f"solver source must be 1 or 2, got {source_index}"))
-        elif source_index == 2 and "slit2" not in sections:
-            errors.append((solver_r.line, "solver source = 2 requires [slit2]"))
-        else:
-            solver = SolverRequest(
-                mode=mode, scheme=scheme, source_index=source_index, norm_tolerance=norm_tol
-            )
-
-    trajectories = None
-    if traj_r.present:
-        tvals = dict(
-            count=traj_r.int_("count", 21),
-            span=traj_r.float_("span", 3.0),
-            dt=traj_r.float_("dt", None),
-        )
-        if tvals["count"] is not None and tvals["span"] is not None:
-            if tvals["count"] < 1:
-                errors.append((traj_r.line, f"trajectory count must be >= 1, got {tvals['count']}"))
-            elif not 0 < tvals["span"] < math.inf:
-                errors.append((traj_r.line,
-                               f"trajectory span must be finite and > 0, got {tvals['span']}"))
-            elif tvals["dt"] is not None and not tvals["dt"] > 0:
-                errors.append((traj_r.line, f"trajectory dt must be > 0, got {tvals['dt']}"))
-            else:
-                trajectories = TrajectoryRequest(**tvals)
-
-    outputs: tuple[str, ...] = ()
-    if output_r.present:
-        item = output_r.data.get("select")
-        if item is None:
-            errors.append((output_r.line, "[output] is missing required key 'select'"))
-        else:
-            value, line = item
-            names = [part.strip() for part in value.split(",") if part.strip()]
-            bad = [n for n in names if n not in OUTPUT_NAMES]
-            for n in bad:
-                errors.append((line, f"unknown output {n!r}; choose from {', '.join(OUTPUT_NAMES)}"))
-            if len(set(names)) != len(names):
-                errors.append((line, "duplicate entries in output select"))
-            if not names:
-                errors.append((line, "at least one output must be selected"))
-            if not bad and names and len(set(names)) == len(names):
-                outputs = tuple(names)
-                two_source = {"phase_difference", "entangling_current"}
-                for n in outputs:
-                    if n in two_source and "slit2" not in sections:
-                        errors.append((line, f"output {n!r} requires two sources ([slit2] missing)"))
-                    if n in ("diffusivity", "norm_trace") and "solver" not in sections:
-                        errors.append((line, f"output {n!r} requires a [solver] section"))
-
-    if errors:
-        return None
-
-    scenario = Scenario(
-        params=params,
-        grid=grid,
-        slit1=slit1,
-        slit2=slit2,
-        shifter=shifter,
-        solver=solver,
-        trajectories=trajectories,
-        outputs=outputs,
-        name=name,
-    )
-
-    if solver is not None:
-        # surface solver preconditions (margin, drift, stability) as config errors
-        try:
-            _solver_config(scenario)
-        except StabilityError as exc:
-            errors.append((solver_r.line, str(exc)))
-        except ParameterError as exc:
-            errors.append((solver_r.line, str(exc)))
-        if errors:
-            return None
-    return scenario
-
-
-def parse_config(text: str, name: str = "scenario") -> Scenario:
-    """Parse config text into a Scenario; raises ConfigError carrying every
-    validation problem found, each tagged with its source line."""
+def parse_config(text: str, name: str = "scenario", overrides=()) -> Scenario:
+    """Parse config text, with `section.key=value` overrides applied on
+    top, into a Scenario; raises ConfigError carrying every problem found,
+    each tagged with its source line."""
     sections, section_lines, errors = _read_sections(text)
-    scenario = _build_scenario(sections, section_lines, errors, name)
-    if errors or scenario is None:
+    for item in overrides:
+        head, sep, value = item.partition("=")
+        sec, dot, key = (part.strip() for part in head.partition("."))
+        if not sep or not dot:
+            errors.append((0, f"override must look like section.key=value, got {item!r}"))
+            continue
+        sections.setdefault(sec, {})[key] = (value.strip(), 0)
+        section_lines.setdefault(sec, 0)
+
+    for sec, data in sections.items():
+        if sec not in _SCHEMA:
+            errors.append((section_lines[sec], f"unknown section [{sec}]"))
+            continue
+        errors.extend((line, f"unknown key {key!r} in section [{sec}]")
+                      for key, (_, line) in data.items() if key not in _SCHEMA[sec][1])
+    errors.extend((0, f"missing required section [{sec}]")
+                  for sec in _REQUIRED_SECTIONS if sec not in sections)
+
+    built = {}
+    for sec, (build, keys) in _SCHEMA.items():
+        built[sec] = None
+        if sec not in sections and sec != "params":
+            continue
+        line = section_lines.get(sec, 0)
+        values = {key: _typed(sec, key, sections.get(sec, {}), line, errors) for key in keys}
+        if any(value is _REQUIRED for value in values.values()):
+            continue
+        try:
+            built[sec] = build(**values)
+        except ParameterError as exc:
+            errors.append((line, str(exc)))
+
+    # rules that span sections
+    if built["slit1"] and built["slit2"] and built["slit1"].center == built["slit2"].center:
+        errors.append((section_lines["slit2"], "slit centers must be distinct"))
+    if "shifter" in sections and "slit2" not in sections:
+        errors.append((section_lines["shifter"],
+                       "a phase shifter requires two sources ([slit2] missing)"))
+    if built["solver"] and built["solver"].source == 2 and "slit2" not in sections:
+        errors.append((section_lines["solver"], "solver source = 2 requires [slit2]"))
+    names, outputs = built.pop("output"), ()
+    if names is not None:
+        line = sections["output"]["select"][1]
+        bad = [n for n in names if n not in OUTPUT_NAMES]
+        for n in bad:
+            errors.append((line, f"unknown output {n!r}; choose from {', '.join(OUTPUT_NAMES)}"))
+        if len(set(names)) != len(names):
+            errors.append((line, "duplicate entries in output select"))
+        if not names:
+            errors.append((line, "at least one output must be selected"))
+        if not bad and names and len(set(names)) == len(names):
+            outputs = tuple(names)
+        for n in outputs:
+            if n in ("phase_difference", "entangling_current") and "slit2" not in sections:
+                errors.append((line, f"output {n!r} requires two sources ([slit2] missing)"))
+            if n in ("diffusivity", "norm_trace") and "solver" not in sections:
+                errors.append((line, f"output {n!r} requires a [solver] section"))
+    if errors:
+        raise ConfigError(sorted(errors, key=lambda error: error[0]))
+
+    scenario = Scenario(**built, outputs=outputs, name=name)
+    errors = _plan_errors(scenario, section_lines)
+    if errors:
         raise ConfigError(errors)
     return scenario
+
+
+def _plan_errors(scenario: Scenario, section_lines: dict[str, int]) -> list[tuple[int, str]]:
+    """Problems only the whole scenario shows: the solver's preconditions
+    (margin, drift, stability) and arrays larger than _MAX_VALUES."""
+    errors = []
+    if scenario.solver is not None:
+        try:
+            _solver_config(scenario)
+        except (StabilityError, ParameterError) as exc:
+            errors.append((section_lines["solver"], str(exc)))
+    grid = scenario.grid
+    cells = (grid.nt + 1) * grid.nx
+    if cells > _MAX_VALUES:
+        errors.append((section_lines["grid"], f"grid of (nt + 1) * nx = {cells} values "
+                                              f"exceeds the limit of {_MAX_VALUES}"))
+    if "trajectories" in scenario.outputs:
+        request, dt = _trajectory_plan(scenario)
+        # integrate stores ceil(t_max / dt) + 1 rows, one column per seed
+        size = (grid.t_max / dt + 2.0) * request.count * (1 if scenario.slit2 is None else 2)
+        if size > _MAX_VALUES:
+            errors.append((section_lines.get("trajectories", 0), f"trajectory table of about "
+                           f"{size:.3g} values exceeds the limit of {_MAX_VALUES}"))
+    return errors
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical config text; parse_config(serialize_scenario(s)) == s."""
     lines: list[str] = []
-
-    def put(section: str, items: dict):
-        lines.append(f"[{section}]")
-        for key, value in items.items():
-            if value is None:
-                continue
-            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    for sec, (_, keys) in _SCHEMA.items():
+        section = getattr(scenario, sec, None)  # [output] is Scenario.outputs, written below
+        if section is None:
+            continue
+        lines.append(f"[{sec}]")
+        for key in keys:
+            value = getattr(section, key)
+            if value is not None:
+                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
         lines.append("")
-
-    put("params", {"hbar": scenario.params.hbar, "mass": scenario.params.mass})
-    g = scenario.grid
-    put("grid", {"x_min": g.x_min, "x_max": g.x_max, "nx": g.nx, "t_max": g.t_max, "nt": g.nt})
-    s1 = scenario.slit1
-    put("slit1", {"center": s1.center, "sigma0": s1.sigma0, "drift": s1.drift})
-    if scenario.slit2 is not None:
-        s2 = scenario.slit2
-        put("slit2", {"center": s2.center, "sigma0": s2.sigma0, "drift": s2.drift})
-    if scenario.shifter is not None:
-        sh = scenario.shifter
-        put("shifter", {"total_shift": sh.total_shift, "t_start": sh.t_start, "t_end": sh.t_end})
-    if scenario.solver is not None:
-        so = scenario.solver
-        put("solver", {
-            "mode": so.mode, "scheme": so.scheme,
-            "source": so.source_index, "norm_tolerance": so.norm_tolerance,
-        })
-    if scenario.trajectories is not None:
-        tr = scenario.trajectories
-        put("trajectories", {"count": tr.count, "span": tr.span, "dt": tr.dt})
-    put("output", {"select": ", ".join(scenario.outputs)})
+    lines += ["[output]", "select = " + ", ".join(scenario.outputs), ""]
     return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # presets (illustrative geometry in natural units; override freely)
+
+_TWO_SLIT = """\
+# {comment}
+[grid]
+x_min = -10.0
+x_max = 10.0
+nx = 801
+t_max = 12.0
+nt = 400
+
+[slit1]
+center = -4.0
+sigma0 = 1.0
+
+[slit2]
+center = 4.0
+sigma0 = {sigma0}
+{shifter}
+[trajectories]
+count = 21
+span = 3.0
+
+[output]
+select = density, phase_difference, entangling_current, trajectories
+"""
+
+
+def _two_slit(comment: str, sigma0: float = 1.0, shifter: tuple | None = None) -> str:
+    """Preset text for the mirrored two-slit geometry; shifter is
+    (total_shift, t_start, t_end)."""
+    block = ""
+    if shifter is not None:
+        block = "\n[shifter]\ntotal_shift = {!r}\nt_start = {!r}\nt_end = {!r}\n".format(*shifter)
+    return _TWO_SLIT.format(comment=comment, sigma0=sigma0, shifter=block)
+
 
 PRESETS: dict[str, str] = {
     "fig1": """\
@@ -452,139 +397,24 @@ span = 3.0
 [output]
 select = density, diffusivity, norm_trace, trajectories
 """,
-    "fig3a": """\
-# mirrored equal slits, no drift, no shifter
-[grid]
-x_min = -10.0
-x_max = 10.0
-nx = 801
-t_max = 12.0
-nt = 400
-
-[slit1]
-center = -4.0
-sigma0 = 1.0
-
-[slit2]
-center = 4.0
-sigma0 = 1.0
-
-[trajectories]
-count = 21
-span = 3.0
-
-[output]
-select = density, phase_difference, entangling_current, trajectories
-""",
-    "fig3b": """\
-# unequal widths: slit 2 starts twice as narrow as slit 1
-[grid]
-x_min = -10.0
-x_max = 10.0
-nx = 801
-t_max = 12.0
-nt = 400
-
-[slit1]
-center = -4.0
-sigma0 = 1.0
-
-[slit2]
-center = 4.0
-sigma0 = 0.5
-
-[trajectories]
-count = 21
-span = 3.0
-
-[output]
-select = density, phase_difference, entangling_current, trajectories
-""",
-    "fig4": """\
-# equal slits with a 3 pi shifter ramped over t in [2, 4]
-[grid]
-x_min = -10.0
-x_max = 10.0
-nx = 801
-t_max = 12.0
-nt = 400
-
-[slit1]
-center = -4.0
-sigma0 = 1.0
-
-[slit2]
-center = 4.0
-sigma0 = 1.0
-
-[shifter]
-total_shift = 9.42477796076938
-t_start = 2.0
-t_end = 4.0
-
-[trajectories]
-count = 21
-span = 3.0
-
-[output]
-select = density, phase_difference, entangling_current, trajectories
-""",
-    "fig5": """\
-# equal slits with a 5 pi shifter ramped over t in [5, 7]
-[grid]
-x_min = -10.0
-x_max = 10.0
-nx = 801
-t_max = 12.0
-nt = 400
-
-[slit1]
-center = -4.0
-sigma0 = 1.0
-
-[slit2]
-center = 4.0
-sigma0 = 1.0
-
-[shifter]
-total_shift = 15.707963267948966
-t_start = 5.0
-t_end = 7.0
-
-[trajectories]
-count = 21
-span = 3.0
-
-[output]
-select = density, phase_difference, entangling_current, trajectories
-""",
+    "fig3a": _two_slit("mirrored equal slits, no drift, no shifter"),
+    "fig3b": _two_slit("unequal widths: slit 2 starts twice as narrow as slit 1", sigma0=0.5),
+    "fig4": _two_slit("equal slits with a 3 pi shifter ramped over t in [2, 4]",
+                      shifter=(3.0 * math.pi, 2.0, 4.0)),
+    "fig5": _two_slit("equal slits with a 5 pi shifter ramped over t in [5, 7]",
+                      shifter=(5.0 * math.pi, 5.0, 7.0)),
 }
 
 
 def load_scenario(target: str, overrides: list[str] | None = None) -> Scenario:
-    """Resolve a preset name or config file path, apply overrides, parse."""
+    """Resolve a preset name or config file path, then parse it with the
+    overrides applied."""
     if target in PRESETS:
-        text = PRESETS[target]
-        name = target
+        text, name = PRESETS[target], target
     else:
         path = Path(target)
-        text = path.read_text(encoding="utf-8")
-        name = path.stem
-    sections, section_lines, errors = _read_sections(text)
-    for item in overrides or []:
-        head, sep, value = item.partition("=")
-        if not sep or "." not in head:
-            errors.append((0, f"override must look like section.key=value, got {item!r}"))
-            continue
-        sec, _, key = head.strip().partition(".")
-        sec, key, value = sec.strip(), key.strip(), value.strip()
-        sections.setdefault(sec, {})
-        section_lines.setdefault(sec, 0)
-        sections[sec][key] = (value, 0)
-    scenario = _build_scenario(sections, section_lines, errors, name)
-    if errors or scenario is None:
-        raise ConfigError(errors)
-    return scenario
+        text, name = path.read_text(encoding="utf-8"), path.stem
+    return parse_config(text, name, overrides or ())
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +430,7 @@ class RunResult:
 
 def _solver_config(scenario: Scenario) -> SolverConfig:
     req = scenario.solver
-    source = scenario.slit1 if req.source_index == 1 else scenario.slit2
+    source = scenario.slit1 if req.source == 1 else scenario.slit2
     return SolverConfig(
         grid=scenario.grid,
         source=source,
@@ -609,6 +439,13 @@ def _solver_config(scenario: Scenario) -> SolverConfig:
         scheme=req.scheme,
         norm_monitor_tolerance=req.norm_tolerance,
     )
+
+
+def _trajectory_plan(scenario: Scenario) -> tuple[TrajectoryRequest, float]:
+    """The trajectory request and its integrator step (a quarter of the
+    grid step unless set)."""
+    req = scenario.trajectories or TrajectoryRequest()
+    return req, req.dt if req.dt is not None else scenario.grid.dt / 4.0
 
 
 def _system(scenario: Scenario) -> DoubleSlitSystem:
@@ -661,8 +498,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     trajectories = None
     if "trajectories" in selected:
-        req = scenario.trajectories or TrajectoryRequest()
-        dt = req.dt if req.dt is not None else grid.dt / 4.0
+        req, dt = _trajectory_plan(scenario)
         if scenario.slit2 is not None:
             trajectories = double_slit_trajectories(
                 _system(scenario), req.count, req.span, grid.t_max, dt

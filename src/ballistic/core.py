@@ -168,12 +168,13 @@ class StabilityReport:
 def check_stability(grid: Grid, source: SlitSource, params: PhysicalParams) -> StabilityReport:
     """Largest explicit time step admissible over (0, t_max].
 
-    The growing diffusion coefficient D_t = D^2 t / sigma0^2 tightens the
-    step bound dt <= dx^2 sigma0^2 / (2 D_t(t)^2 t) monotonically with t,
-    so the binding time is always t_max.
+    Every explicit step requires r = D_t dt / dx^2 <= 1/2, the bound
+    `fdm.explicit_step` enforces.  The closed-form coefficient
+    D_t = D^2 t / sigma0^2 grows with t, so the binding time is always
+    t_max and dt <= dx^2 / (2 D_t(t_max)) = dx^2 sigma0^2 / (2 D^2 t_max).
     """
     d_end = params.diffusivity**2 * grid.t_max / source.sigma0**2
-    max_dt = grid.dx**2 * source.sigma0**2 / (2.0 * d_end**2 * grid.t_max)
+    max_dt = grid.dx**2 / (2.0 * d_end)
     return StabilityReport(
         max_allowed_dt=max_dt,
         requested_dt=grid.dt,

@@ -121,14 +121,13 @@ def implicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.nda
     return solve_banded((1, 1), ab, prev)
 
 
-def diffusivity_recursion(density_row, previous_diffusivity, params: PhysicalParams,
-                          *, clamp: bool = True) -> tuple[np.ndarray, int]:
-    """Accumulate the local coefficient: -D ln P plus the previous call.
+def diffusivity_recursion(density_row, previous_diffusivity,
+                          params: PhysicalParams) -> tuple[np.ndarray, int]:
+    """Accumulate the local coefficient: -D ln P plus the previous call,
+    floored at zero (cells where P > 1 contribute negative increments).
 
     Pass previous_diffusivity=None for the first call.  Cells with P <= 0
     get coefficient 0 and are counted in the returned diagnostics tally.
-    clamp=False disables the default floor at zero (cells where P > 1
-    contribute negative increments).
     """
     p = np.asarray(density_row, dtype=float)
     ok = p > 0.0
@@ -138,8 +137,7 @@ def diffusivity_recursion(density_row, previous_diffusivity, params: PhysicalPar
     contrib *= -params.diffusivity
     if previous_diffusivity is not None:
         contrib = contrib + np.asarray(previous_diffusivity, dtype=float)
-    if clamp:
-        contrib = np.maximum(contrib, 0.0)
+    contrib = np.maximum(contrib, 0.0)
     contrib[~ok] = 0.0
     return contrib, flagged
 
@@ -161,7 +159,6 @@ class SolverConfig:
     mode: str = "closed_form"
     scheme: str = "explicit"
     norm_monitor_tolerance: float = 1e-6
-    clamp_negative_diffusivity: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -231,9 +228,7 @@ def solve(config: SolverConfig) -> SolveResult:
     if config.mode == "closed_form":
         diffusivity[0] = 0.0
     else:
-        diffusivity[0], hits = diffusivity_recursion(
-            density[0], None, p, clamp=config.clamp_negative_diffusivity
-        )
+        diffusivity[0], hits = diffusivity_recursion(density[0], None, p)
         flagged += hits
 
     for n in range(grid.nt):
@@ -244,9 +239,7 @@ def solve(config: SolverConfig) -> SolveResult:
             used = diffusivity[n]
         density[n + 1] = step(density[n], used, dx, dt)
         if config.mode == "local_recursion":
-            diffusivity[n + 1], hits = diffusivity_recursion(
-                density[n + 1], diffusivity[n], p, clamp=config.clamp_negative_diffusivity
-            )
+            diffusivity[n + 1], hits = diffusivity_recursion(density[n + 1], diffusivity[n], p)
             flagged += hits
         norms[n + 1] = density[n + 1].sum() * dx
         drift = abs(norms[n + 1] - 1.0)

@@ -15,7 +15,6 @@ from ballistic import (
     osmotic_velocity,
     phase,
     phase_space_density,
-    sample_kinematics,
     sigma_at,
     total_acceleration,
     total_velocity,
@@ -231,13 +230,3 @@ def test_phase_default_energy_is_kinetic(params):
     # an explicit zero energy removes that term
     drift_term = params.mass * s.drift * x / params.hbar
     assert phase(s, params, x, t, energy=0.0) == pytest.approx(drift_term, rel=1e-14)
-
-
-def test_sample_kinematics_bundles_fields(params, unit_source):
-    sample = sample_kinematics(unit_source, params, 1.2, 0.9)
-    assert sample.density == gaussian_density(unit_source, params, 1.2, 0.9)
-    assert sample.osmotic == osmotic_velocity(unit_source, params, 1.2, 0.9)
-    assert sample.velocity == total_velocity(unit_source, params, 1.2, 0.9)
-    assert sample.acceleration == total_acceleration(unit_source, params, 1.2, 0.9)
-    assert sample.phase == phase(unit_source, params, 1.2, 0.9)
-    assert sample.density >= 0.0

@@ -12,6 +12,7 @@ from ballistic import (
     TrajectorySet,
     gaussian_density,
 )
+from ballistic import cli
 from ballistic.cli import (
     PRESETS,
     ConfigError,
@@ -490,6 +491,35 @@ def test_non_finite_errors_carry_section_line():
                 if name.startswith("[")}
     assert "center must be finite" in found[sections["[slit1]"]]
     assert "t_end must be finite" in found[sections["[shifter]"]]
+
+
+def test_main_rejects_explicit_grid_unstable_before_t_max(tmp_path, capsys):
+    # u0 t_max = 0.625 < sigma0 = 1.2: r passes 1/2 at t = 0.79 of 1.5, so
+    # the run is a config error rather than a refusal mid-solve (exit 3)
+    argv = ["fig1", "--out", str(tmp_path / "o")]
+    for item in ("grid.x_min=-12", "grid.x_max=12", "grid.nx=241", "grid.t_max=1.5",
+                 "grid.nt=40", "slit1.sigma0=1.2", "solver.scheme=explicit",
+                 "output.select=density,norm_trace"):
+        argv += ["--override", item]
+    assert main(argv) == 2
+    assert "explicit scheme rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides,where", [
+    (("grid.nx=10000000", "grid.nt=10000000", "output.select=density"), "line 2: grid of"),
+    (("trajectories.dt=1e-9", "output.select=trajectories"), "line 17: trajectory table"),
+])
+def test_main_rejects_oversized_plans(tmp_path, capsys, monkeypatch, overrides, where):
+    def refuse(scenario):
+        raise AssertionError("an oversized plan reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    argv = ["fig3a", "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert where in err and "exceeds the limit" in err
 
 
 def test_main_missing_file(capsys):
