@@ -113,12 +113,11 @@ def closed_form_diffusivity(source: SlitSource, params: PhysicalParams, t):
     return params.diffusivity * (t / kink_time(source, params))
 
 
-def phase(source: SlitSource, params: PhysicalParams, x, t,
-          extra_shift: float = 0.0, energy: float | None = None):
+def phase(source: SlitSource, params: PhysicalParams, x, t, energy: float | None = None):
     """Action divided by hbar for the spreading packet.
 
-    energy defaults to the kinetic energy of the drift, m v^2 / 2.  An
-    additive extra_shift models an external phase shifter.
+    energy defaults to the kinetic energy of the drift, m v^2 / 2.  A phase
+    shifter acts on the two-slit system (`PhaseShifterSchedule`), not here.
     """
     _check_time(t)
     if energy is None:
@@ -131,4 +130,4 @@ def phase(source: SlitSource, params: PhysicalParams, x, t,
         + 0.5 * params.mass * u0**2 * t * (xi / sig) ** 2
         - energy * t
     )
-    return action / params.hbar + extra_shift
+    return action / params.hbar

@@ -88,6 +88,8 @@ class TrajectoryRequest:
             raise ParameterError(f"trajectory count must be >= 1, got {self.count}")
         if not 0 < self.span < math.inf:
             raise ParameterError(f"trajectory span must be finite and > 0, got {self.span}")
+        if self.dt is not None and not math.isfinite(self.dt):
+            raise ParameterError(f"trajectory dt must be finite, got {self.dt}")
         if self.dt is not None and not self.dt > 0:
             raise ParameterError(f"trajectory dt must be > 0, got {self.dt}")
 
@@ -477,12 +479,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     if scenario.slit2 is not None:
         if selected & {"density", "phase_difference", "entangling_current"}:
             grids = intensity_grid(_system(scenario), grid)
-            if "density" in selected:
-                fields["density"] = grids.density
-            if "phase_difference" in selected:
-                fields["phase_difference"] = grids.phase_difference
-            if "entangling_current" in selected:
-                fields["entangling_current"] = grids.entangling_current
+            for name in ("density", "phase_difference", "entangling_current"):
+                if name in selected:
+                    fields[name] = getattr(grids, name)
     elif "density" in selected:
         if solver_result is not None:
             fields["density"] = solver_result.density
@@ -516,33 +515,29 @@ def run_scenario(scenario: Scenario) -> RunResult:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _write_csv(path, header: str, columns: list[np.ndarray], fmt) -> None:
+    """A header row, then the columns side by side, comma-separated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt, ",", header=header, comments="")
+
+
 def write_field_csv(field: ScalarField, path) -> None:
     """Rows are t,x,value in time-major order, 17 significant digits."""
     grid = field.grid
-    t = np.repeat(grid.times(), grid.nx)
-    x = np.tile(grid.x(), grid.nt + 1)
-    table = np.column_stack([t, x, field.values.ravel()])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header="t,x,value", comments="")
+    _write_csv(path, "t,x,value", [np.repeat(grid.times(), grid.nx),
+                                   np.tile(grid.x(), grid.nt + 1), field.values.ravel()], "%.17g")
 
 
 def write_trajectories_csv(trajectories: TrajectorySet, path) -> None:
     """Rows are seed_id,t,x grouped by seed."""
-    n_seeds = len(trajectories.seeds)
-    n_times = trajectories.times.size
-    seed_ids = np.repeat(np.arange(n_seeds), n_times)
-    t = np.tile(trajectories.times, n_seeds)
-    x = trajectories.positions.T.ravel()
-    table = np.column_stack([seed_ids, t, x])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt=["%d", "%.17g", "%.17g"], delimiter=",",
-                   header="seed_id,t,x", comments="")
+    n_seeds, n_times = len(trajectories.seeds), trajectories.times.size
+    _write_csv(path, "seed_id,t,x", [np.repeat(np.arange(n_seeds), n_times),
+                                     np.tile(trajectories.times, n_seeds),
+                                     trajectories.positions.T.ravel()], ["%d", "%.17g", "%.17g"])
 
 
 def write_norm_trace_csv(times: np.ndarray, masses: np.ndarray, path) -> None:
-    table = np.column_stack([times, masses])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header="t,mass", comments="")
+    _write_csv(path, "t,mass", [times, masses], "%.17g")
 
 
 def _pgm_bytes(magnitudes: np.ndarray, gamma: float, comment: str) -> bytes:
@@ -578,14 +573,21 @@ def write_pgm(field: ScalarField, path, gamma: float = 1.0,
         path.write_bytes(_pgm_bytes(np.clip(values, 0.0, None), gamma, comment))
 
 
+def _check_output_options(formats: tuple[str, ...], gamma: float) -> None:
+    """Reject output formats or a PGM gamma write_outputs cannot use."""
+    if not formats or not set(formats) <= {"csv", "pgm"}:
+        raise ParameterError(f"unsupported --format value {','.join(formats)!r}; "
+                             "use csv, pgm or csv,pgm")
+    if not gamma > 0:
+        raise ParameterError(f"--gamma must be > 0, got {gamma}")
+
+
 def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1.0) -> list[Path]:
     """Write every selected output under out_dir; returns the paths written."""
+    formats = tuple(formats)
+    _check_output_options(formats, gamma)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    formats = tuple(formats)
-    unknown = set(formats) - {"csv", "pgm"}
-    if unknown:
-        raise ParameterError(f"unknown output format(s): {', '.join(sorted(unknown))}")
     scenario = result.scenario
     written: list[Path] = []
 
@@ -594,14 +596,12 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
     written.append(config_path)
 
     for name in scenario.outputs:
-        if name == "trajectories":
-            path = out_dir / "trajectories.csv"
-            write_trajectories_csv(result.trajectories, path)
-            written.append(path)
-            continue
-        if name == "norm_trace":
-            path = out_dir / "norm_trace.csv"
-            write_norm_trace_csv(scenario.grid.times(), result.norm_trace, path)
+        if name in ("trajectories", "norm_trace"):
+            path = out_dir / f"{name}.csv"
+            if name == "trajectories":
+                write_trajectories_csv(result.trajectories, path)
+            else:
+                write_norm_trace_csv(scenario.grid.times(), result.norm_trace, path)
             written.append(path)
             continue
         field = result.fields[name]
@@ -640,10 +640,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-    unknown = set(formats) - {"csv", "pgm"}
-    if unknown or not formats:
-        print(f"unsupported --format value {args.format!r}; use csv, pgm or csv,pgm",
-              file=sys.stderr)
+    try:
+        _check_output_options(formats, args.gamma)
+    except ParameterError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
     try:

@@ -14,6 +14,7 @@ Both explicit (forward Euler, conditionally stable) and implicit
 domain edges hold zero ghost cells, so mass leaks only through whatever
 density reaches the boundary; keeping a margin of 4 sigma(t_max) on each
 side of the packet keeps that leak below any practical tolerance.
+`solve` returns the density and the per-cell coefficient as `ScalarField`s.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .core import (
     ScalarField,
     SlitSource,
     StabilityReport,
+    _require_finite,
     check_stability,
 )
 from .analytic import gaussian_density, sigma_at
@@ -38,7 +40,6 @@ __all__ = [
     "StabilityError",
     "NormDriftError",
     "SolverConfig",
-    "DiffusivityField",
     "SolveResult",
     "explicit_step",
     "implicit_step",
@@ -165,6 +166,7 @@ class SolverConfig:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        _require_finite(norm_monitor_tolerance=self.norm_monitor_tolerance)
         if not self.norm_monitor_tolerance > 0:
             raise ParameterError("norm_monitor_tolerance must be > 0")
         if self.source.drift != 0.0:
@@ -186,14 +188,9 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class DiffusivityField(ScalarField):
-    """Per-cell diffusion coefficient attached to each stored time row."""
-
-
-@dataclass(frozen=True)
 class SolveResult:
     density: ScalarField
-    diffusivity: DiffusivityField
+    diffusivity: ScalarField  # the coefficient each stored row used, per cell
     norm_trace: np.ndarray
     flagged_cells: int
 
@@ -252,7 +249,7 @@ def solve(config: SolverConfig) -> SolveResult:
 
     return SolveResult(
         density=ScalarField(grid, density),
-        diffusivity=DiffusivityField(grid, diffusivity),
+        diffusivity=ScalarField(grid, diffusivity),
         norm_trace=norms,
         flagged_cells=flagged,
     )

@@ -158,15 +158,15 @@ def entangling_current(system: DoubleSlitSystem, x, t):
     return _two_slit_terms(system, x, t).entangling
 
 
-def field_velocity(system: DoubleSlitSystem, x, t, *, floor: float = VELOCITY_FLOOR):
-    """Emergent velocity J / P, NaN where the density is at or below floor.
+def field_velocity(system: DoubleSlitSystem, x, t):
+    """Emergent velocity J / P, NaN where the density is <= VELOCITY_FLOOR.
 
     Callers that integrate trajectories must treat NaN as an undefined
     velocity sample, not as an error.
     """
     terms = _two_slit_terms(system, x, t)
     out = np.full(np.shape(terms.density), np.nan)
-    return np.divide(terms.current, terms.density, out=out, where=terms.density > floor)
+    return np.divide(terms.current, terms.density, out=out, where=terms.density > VELOCITY_FLOOR)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Bohm-type trajectories integrated through analytic or gridded velocity
-fields with a fixed-step classical RK4 scheme.
+"""Bohm-type trajectories integrated with a fixed-step classical RK4 scheme
+through the analytic field of one packet or the emergent two-slit field.
 
 Velocity callbacks may return NaN where the field is undefined (density
-nulls of a two-slit system); the integrator then reuses the trajectory's
-last finite velocity for that stage.  Leaving an explicit spatial domain
-freezes a path and flags it rather than aborting the run.
+nulls of a two-slit system); that stage then reuses the path's last
+defined step-start velocity (zero before any).  Leaving an explicit spatial
+domain freezes a path and flags it rather than aborting the run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ParameterError, PhysicalParams, ScalarField, SlitSource
+from .core import ParameterError, PhysicalParams, SlitSource
 from .analytic import total_velocity
 from .interference import DoubleSlitSystem, field_velocity
 
@@ -23,9 +23,6 @@ __all__ = [
     "Seed",
     "TrajectorySet",
     "seed_positions",
-    "analytic_velocity",
-    "emergent_velocity",
-    "gridded_velocity",
     "integrate",
     "single_slit_trajectories",
     "double_slit_trajectories",
@@ -73,41 +70,6 @@ def seed_positions(source: SlitSource, count: int, span: float) -> np.ndarray:
     return np.linspace(-half, half, count)
 
 
-def analytic_velocity(source: SlitSource, params: PhysicalParams) -> VelocityField:
-    return lambda x, t: total_velocity(source, params, x, t)
-
-
-def emergent_velocity(system: DoubleSlitSystem) -> VelocityField:
-    return lambda x, t: field_velocity(system, x, t)
-
-
-def gridded_velocity(field: ScalarField) -> VelocityField:
-    """Bilinear interpolation of a sampled velocity field in (x, t).
-
-    Queries outside the time range clamp to the first or last row; queries
-    outside the spatial range return NaN.
-    """
-    grid = field.grid
-    xs = grid.x()
-    values = field.values
-
-    def sample(x, t):
-        x = np.asarray(x, dtype=float)
-        pos = np.clip(t / grid.dt, 0.0, grid.nt)
-        j = min(int(pos), grid.nt - 1)
-        frac = pos - j
-        row = (1.0 - frac) * values[j] + frac * values[j + 1]
-        out = np.interp(x, xs, row)
-        return np.where((x < grid.x_min) | (x > grid.x_max), np.nan, out)
-
-    return sample
-
-
-def _stage(velocity: VelocityField, x: np.ndarray, t: float, fallback: np.ndarray) -> np.ndarray:
-    v = np.asarray(velocity(x, t), dtype=float)
-    return np.where(np.isfinite(v), v, fallback)
-
-
 def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
               domain: tuple[float, float] | None = None):
     """RK4-integrate dx/dt = v(x, t) for a batch of starting points.
@@ -127,14 +89,17 @@ def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
     positions[0] = x
     held = np.zeros(x.size)
     alive = np.ones(x.size, dtype=bool)
+
+    def stage(points, time):
+        v = np.asarray(velocity(points, time), dtype=float)
+        return np.where(np.isfinite(v), v, held)
+
     for k in range(steps):
         t = times[k]
-        raw = np.asarray(velocity(x, t), dtype=float)
-        k1 = np.where(np.isfinite(raw), raw, held)
-        held = k1
-        k2 = _stage(velocity, x + 0.5 * h * k1, t + 0.5 * h, held)
-        k3 = _stage(velocity, x + 0.5 * h * k2, t + 0.5 * h, held)
-        k4 = _stage(velocity, x + h * k3, t + h, held)
+        held = k1 = stage(x, t)
+        k2 = stage(x + 0.5 * h * k1, t + 0.5 * h)
+        k3 = stage(x + 0.5 * h * k2, t + 0.5 * h)
+        k4 = stage(x + h * k3, t + h)
         proposed = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if domain is not None:
             lo, hi = domain
@@ -144,15 +109,21 @@ def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
     return times, positions, ~alive
 
 
+def _bundle(velocity: VelocityField, sources: tuple[SlitSource, ...], count: int,
+            span: float, t_max: float, dt: float, domain) -> TrajectorySet:
+    """Seed every source, slit 1 first, and integrate all seeds at once."""
+    offsets = [seed_positions(source, count, span) for source in sources]
+    starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
+    times, positions, exited = integrate(velocity, starts, t_max, dt, domain)
+    seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
+    return TrajectorySet(seeds=seeds, times=times, positions=positions, exited=exited)
+
+
 def single_slit_trajectories(source: SlitSource, params: PhysicalParams,
                              count: int, span: float, t_max: float, dt: float,
                              domain: tuple[float, float] | None = None) -> TrajectorySet:
-    offsets = seed_positions(source, count, span)
-    times, positions, exited = integrate(
-        analytic_velocity(source, params), source.center + offsets, t_max, dt, domain
-    )
-    seeds = tuple(Seed(1, float(o)) for o in offsets)
-    return TrajectorySet(seeds=seeds, times=times, positions=positions, exited=exited)
+    return _bundle(lambda x, t: total_velocity(source, params, x, t), (source,),
+                   count, span, t_max, dt, domain)
 
 
 def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
@@ -160,9 +131,5 @@ def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
                              domain: tuple[float, float] | None = None) -> TrajectorySet:
     """Seed both slits symmetrically and integrate through the emergent
     two-slit velocity field."""
-    off1 = seed_positions(system.slit1, count, span)
-    off2 = seed_positions(system.slit2, count, span)
-    starts = np.concatenate([system.slit1.center + off1, system.slit2.center + off2])
-    times, positions, exited = integrate(emergent_velocity(system), starts, t_max, dt, domain)
-    seeds = tuple(Seed(1, float(o)) for o in off1) + tuple(Seed(2, float(o)) for o in off2)
-    return TrajectorySet(seeds=seeds, times=times, positions=positions, exited=exited)
+    return _bundle(lambda x, t: field_velocity(system, x, t), (system.slit1, system.slit2),
+                   count, span, t_max, dt, domain)

@@ -215,11 +215,6 @@ def test_phase_values(params, unit_source):
     assert phase(unit_source, params, 1.0, 2.0) == pytest.approx(0.125, rel=1e-14)
 
 
-def test_phase_shift_is_additive(params, unit_source):
-    base = phase(unit_source, params, 0.7, 1.3)
-    assert phase(unit_source, params, 0.7, 1.3, extra_shift=math.pi) == base + math.pi
-
-
 def test_phase_default_energy_is_kinetic(params):
     # along the classical path the drift and energy terms leave m v^2 t / (2 hbar)
     s = SlitSource(center=0.0, sigma0=1.0, drift=0.8)

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,6 +475,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("fig3a", "slit2.drift=nan"),
     ("fig4", "shifter.total_shift=nan"),
     ("fig3a", "trajectories.span=inf"),
+    ("fig1", "solver.norm_tolerance=inf"),
+    ("fig4", "trajectories.dt=inf"),
 ])
 def test_main_rejects_non_finite_values(tmp_path, capsys, target, override):
     out = tmp_path / "results"
@@ -532,6 +536,33 @@ def test_main_rejects_unknown_format(tmp_path, capsys):
     cfg.write_text(TINY, encoding="utf-8")
     assert main([str(cfg), "--format", "bmp"]) == 2
     assert "unsupported --format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
+def test_main_rejects_bad_gamma_before_running(tmp_path, capsys, monkeypatch, gamma):
+    def refuse(scenario):
+        raise AssertionError("a bad --gamma reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    out = tmp_path / "o"
+    assert main(["fig3a", "--out", str(out), "--format", "pgm", "--gamma", gamma]) == 2
+    assert "--gamma must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_tracer_wraps_existing_bindings(monkeypatch):
+    # the benchmark's tracer replaces package bindings by name; a binding
+    # renamed or deleted here would only fail the benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    original = cli.write_field_csv
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.write_field_csv is not original
+    finally:
+        tracer.close()
+    assert cli.write_field_csv is original
 
 
 def test_main_stability_abort(tmp_path, capsys):

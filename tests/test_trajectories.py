@@ -6,22 +6,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ballistic import (
     DoubleSlitSystem,
-    Grid,
     ParameterError,
     PhysicalParams,
-    ScalarField,
     Seed,
     SlitSource,
     TrajectorySet,
-    analytic_velocity,
     double_slit_trajectories,
     gaussian_density,
-    gridded_velocity,
     integrate,
     kink_time,
     phase_difference,
     seed_positions,
     single_slit_trajectories,
+    total_velocity,
     trajectory_position,
 )
 
@@ -87,7 +84,7 @@ def test_trajectory_set_accepts_empty_bundle():
 # --- integrator vs closed form ----------------------------------------------
 
 def test_integrate_validation(params, unit_source):
-    v = analytic_velocity(unit_source, params)
+    v = lambda x, t: total_velocity(unit_source, params, x, t)
     with pytest.raises(ParameterError):
         integrate(v, [0.0], 0.0, 0.01)
     with pytest.raises(ParameterError):
@@ -133,41 +130,19 @@ def test_integrated_paths_keep_order(a, b):
     assume(b - a > 1e-3)
     params = PhysicalParams()
     src = SlitSource(center=0.0, sigma0=0.8)
-    _, pos, _ = integrate(analytic_velocity(src, params), [a, b], 4.0, 0.05)
+    _, pos, _ = integrate(lambda x, t: total_velocity(src, params, x, t), [a, b], 4.0, 0.05)
     assert np.all(pos[:, 1] - pos[:, 0] > 0.0)
 
 
-# --- gridded fields ---------------------------------------------------------
+# --- undefined velocity samples ---------------------------------------------
 
-def grid_and_values():
-    grid = Grid(x_min=-1.0, x_max=1.0, nx=21, t_max=2.0, nt=10)
-    vals = 0.3 + 1.7 * grid.x()[None, :] - 0.4 * grid.times()[:, None]
-    return grid, ScalarField(grid, vals)
-
-
-def test_gridded_velocity_reproduces_bilinear_data():
-    _, field = grid_and_values()
-    sample = gridded_velocity(field)
-    for xq, tq in [(0.13, 0.77), (-0.91, 1.99), (0.0, 0.0), (1.0, 2.0)]:
-        assert float(sample(xq, tq)) == pytest.approx(0.3 + 1.7 * xq - 0.4 * tq, abs=1e-12)
-
-
-def test_gridded_velocity_clamps_time_range():
-    _, field = grid_and_values()
-    sample = gridded_velocity(field)
-    assert float(sample(0.5, 99.0)) == float(sample(0.5, 2.0))
-    assert float(sample(0.5, -1.0)) == float(sample(0.5, 0.0))
-
-
-def test_gridded_velocity_nan_outside_domain():
-    _, field = grid_and_values()
-    sample = gridded_velocity(field)
-    assert math.isnan(float(sample(1.5, 1.0)))
+def unit_field(x, t):
+    """Unit speed on [-1, 1], undefined (NaN) outside."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.abs(x) <= 1.0, 1.0, np.nan)
 
 
 def test_integrator_holds_last_velocity_past_field_edge():
-    grid = Grid(x_min=-1.0, x_max=1.0, nx=21, t_max=2.0, nt=10)
-    unit_field = gridded_velocity(ScalarField(grid, np.ones((11, 21))))
     _, pos, exited = integrate(unit_field, [0.5], 2.0, 0.01)
     # the path leaves the sampled window at t = 0.5 and coasts at the held speed
     assert pos[-1, 0] == pytest.approx(2.5, abs=1e-12)
@@ -175,8 +150,6 @@ def test_integrator_holds_last_velocity_past_field_edge():
 
 
 def test_integrator_freezes_on_domain_exit():
-    grid = Grid(x_min=-1.0, x_max=1.0, nx=21, t_max=2.0, nt=10)
-    unit_field = gridded_velocity(ScalarField(grid, np.ones((11, 21))))
     _, pos, exited = integrate(unit_field, [0.5], 2.0, 0.01, domain=(-2.0, 1.2))
     assert exited[0]
     assert pos[-1, 0] <= 1.2
@@ -184,8 +157,6 @@ def test_integrator_freezes_on_domain_exit():
 
 
 def test_integrator_static_when_undefined_from_start():
-    grid = Grid(x_min=-1.0, x_max=1.0, nx=21, t_max=2.0, nt=10)
-    unit_field = gridded_velocity(ScalarField(grid, np.ones((11, 21))))
     _, pos, _ = integrate(unit_field, [3.0], 1.0, 0.1)
     assert np.ptp(pos[:, 0]) == 0.0
 
