@@ -4,9 +4,10 @@
 Usage:
     python scripts/render_figures.py [--out DIR] [--format csv,pgm] [--gamma G]
 
-Each preset lands in DIR/<preset>/ next to a scenario.txt echo of the
-resolved configuration, so a directory produced here can be re-run with
-`simulate DIR/<preset>/scenario.txt`.
+Each preset runs through `simulate` and lands in DIR/<preset>/ next to a
+scenario.txt echo of the resolved configuration, so a directory produced
+here can be re-run with `simulate DIR/<preset>/scenario.txt`.  The first
+preset that fails stops the script with its `simulate` exit status.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from ballistic.cli import PRESETS, load_scenario, run_scenario, write_outputs
+from ballistic import cli
 
 
 def main(argv=None) -> int:
@@ -24,18 +25,15 @@ def main(argv=None) -> int:
     parser.add_argument("--gamma", type=float, default=1.0,
                         help="PGM brightness exponent, < 1 lifts faint fringes")
     args = parser.parse_args(argv)
-    formats = tuple(s.strip() for s in args.format.split(",") if s.strip())
 
     root = Path(args.out)
-    for name in sorted(PRESETS):
-        scenario = load_scenario(name)
+    for name in sorted(cli.PRESETS):
         started = time.perf_counter()
-        result = run_scenario(scenario)
-        elapsed = time.perf_counter() - started
-        written = write_outputs(result, root / name, formats, gamma=args.gamma)
-        print(f"{name}: {elapsed:.2f}s, {len(written)} files -> {root / name}")
-        for path in written:
-            print(f"  {path.name}")
+        status = cli.main([name, "--out", str(root / name), "--format", args.format,
+                           "--gamma", str(args.gamma)])
+        if status:
+            return status
+        print(f"{name}: {time.perf_counter() - started:.2f}s -> {root / name}")
     return 0
 
 

@@ -2,101 +2,15 @@
 interference fields, a finite-difference solver with a time-growing
 diffusion coefficient, and velocity-field trajectory integration."""
 
-from .core import (
-    Grid,
-    ParameterError,
-    PhysicalParams,
-    ScalarField,
-    SlitSource,
-    StabilityReport,
-    check_stability,
-    uncertainty_norm,
-)
-from .analytic import (
-    closed_form_diffusivity,
-    gaussian_density,
-    kink_time,
-    osmotic_velocity,
-    phase,
-    phase_space_density,
-    sigma_at,
-    total_acceleration,
-    total_velocity,
-    trajectory_position,
-)
-from .interference import (
-    DoubleSlitSystem,
-    InterferenceGrid,
-    PhaseShifterSchedule,
-    entangling_current,
-    field_velocity,
-    intensity_grid,
-    phase_difference,
-    total_current,
-    total_density,
-)
-from .fdm import (
-    NormDriftError,
-    SolveResult,
-    SolverConfig,
-    StabilityError,
-    diffusivity_recursion,
-    explicit_step,
-    implicit_step,
-    solve,
-)
-from .trajectories import (
-    Seed,
-    TrajectorySet,
-    double_slit_trajectories,
-    integrate,
-    seed_positions,
-    single_slit_trajectories,
-)
+from . import analytic, core, fdm, interference, trajectories
+from .core import *
+from .analytic import *
+from .interference import *
+from .fdm import *
+from .trajectories import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Grid",
-    "ParameterError",
-    "PhysicalParams",
-    "ScalarField",
-    "SlitSource",
-    "StabilityReport",
-    "check_stability",
-    "uncertainty_norm",
-    "closed_form_diffusivity",
-    "gaussian_density",
-    "kink_time",
-    "osmotic_velocity",
-    "phase",
-    "phase_space_density",
-    "sigma_at",
-    "total_acceleration",
-    "total_velocity",
-    "trajectory_position",
-    "DoubleSlitSystem",
-    "InterferenceGrid",
-    "PhaseShifterSchedule",
-    "entangling_current",
-    "field_velocity",
-    "intensity_grid",
-    "phase_difference",
-    "total_current",
-    "total_density",
-    "NormDriftError",
-    "SolveResult",
-    "SolverConfig",
-    "StabilityError",
-    "diffusivity_recursion",
-    "explicit_step",
-    "implicit_step",
-    "solve",
-    "Seed",
-    "TrajectorySet",
-    "double_slit_trajectories",
-    "integrate",
-    "seed_positions",
-    "single_slit_trajectories",
-    "__version__",
-]
+# each module's __all__ is the one statement of its public names
+__all__ = [name for module in (core, analytic, interference, fdm, trajectories)
+           for name in module.__all__] + ["__version__"]

@@ -269,6 +269,10 @@ def parse_config(text: str, name: str = "scenario", overrides=()) -> Scenario:
                        "a phase shifter requires two sources ([slit2] missing)"))
     if built["solver"] and built["solver"].source == 2 and "slit2" not in sections:
         errors.append((section_lines["solver"], "solver source = 2 requires [slit2]"))
+    request, grid = built["trajectories"], built["grid"]
+    if request and grid and request.dt is not None and not request.dt < grid.t_max:
+        errors.append((section_lines["trajectories"],
+                       f"trajectory dt must be < grid t_max = {grid.t_max}, got {request.dt}"))
     names, outputs = built.pop("output"), ()
     if names is not None:
         line = sections["output"]["select"][1]
@@ -540,37 +544,38 @@ def write_norm_trace_csv(times: np.ndarray, masses: np.ndarray, path) -> None:
     _write_csv(path, "t,mass", [times, masses], "%.17g")
 
 
-def _pgm_bytes(magnitudes: np.ndarray, gamma: float, comment: str) -> bytes:
-    rows, cols = magnitudes.shape
-    v_max = float(magnitudes.max())
-    if v_max > 0:
-        pixels = np.rint(255.0 * (magnitudes / v_max) ** gamma).astype(np.uint8)
-    else:
-        pixels = np.zeros(magnitudes.shape, dtype=np.uint8)
-    header = f"P5\n# {comment} max={v_max:.17g}\n{cols} {rows}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+def _write_p5(path: Path, pixels: np.ndarray, comment: str) -> Path:
+    """One binary 8-bit PGM image with a one-line comment."""
+    rows, cols = pixels.shape
+    path.write_bytes(f"P5\n# {comment}\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes())
+    return path
 
 
 def write_pgm(field: ScalarField, path, gamma: float = 1.0,
-              comment: str = "", signed: bool = False) -> None:
+              comment: str = "", signed: bool = False) -> list[Path]:
     """Binary 8-bit PGM; row 0 is t = 0.  Pixel = round(255 (v/v_max)^gamma).
 
     signed=True renders magnitudes and writes a second *_sign.pgm companion
-    encoding sign as 0 (negative), 128 (zero) or 255 (positive).
+    encoding sign as 0 (negative), 128 (zero) or 255 (positive).  Returns
+    the paths written.
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     path = Path(path)
     values = field.values
-    if signed:
-        Path(path).write_bytes(_pgm_bytes(np.abs(values), gamma, comment))
-        rows, cols = values.shape
-        sign_pixels = np.where(values > 0, 255, np.where(values < 0, 0, 128)).astype(np.uint8)
-        header = f"P5\n# {comment} sign\n{cols} {rows}\n255\n".encode("ascii")
-        sign_path = path.with_name(path.stem + "_sign" + path.suffix)
-        sign_path.write_bytes(header + sign_pixels.tobytes())
+    magnitudes = np.abs(values) if signed else np.clip(values, 0.0, None)
+    v_max = float(magnitudes.max())
+    if v_max > 0:
+        pixels = np.rint(255.0 * (magnitudes / v_max) ** gamma).astype(np.uint8)
     else:
-        path.write_bytes(_pgm_bytes(np.clip(values, 0.0, None), gamma, comment))
+        pixels = np.zeros(values.shape, dtype=np.uint8)
+    del magnitudes  # a field-sized float array; not kept while the sign pixels are built
+    written = [_write_p5(path, pixels, f"{comment} max={v_max:.17g}")]
+    if signed:
+        signs = np.where(values > 0, 255, np.where(values < 0, 0, 128)).astype(np.uint8)
+        written.append(_write_p5(path.with_name(path.stem + "_sign" + path.suffix),
+                                 signs, f"{comment} sign"))
+    return written
 
 
 def _check_output_options(formats: tuple[str, ...], gamma: float) -> None:
@@ -610,12 +615,8 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
             write_field_csv(field, path)
             written.append(path)
         if "pgm" in formats:
-            path = out_dir / f"{name}.pgm"
-            signed = name in _SIGNED_FIELDS
-            write_pgm(field, path, gamma=gamma, comment=f"{scenario.name} {name}", signed=signed)
-            written.append(path)
-            if signed:
-                written.append(path.with_name(path.stem + "_sign" + path.suffix))
+            written += write_pgm(field, out_dir / f"{name}.pgm", gamma=gamma,
+                                 comment=f"{scenario.name} {name}", signed=name in _SIGNED_FIELDS)
     return written
 
 

@@ -3,8 +3,8 @@ through the analytic field of one packet or the emergent two-slit field.
 
 Velocity callbacks may return NaN where the field is undefined (density
 nulls of a two-slit system); that stage then reuses the path's last
-defined step-start velocity (zero before any).  Leaving an explicit spatial
-domain freezes a path and flags it rather than aborting the run.
+defined step-start velocity (zero before any).  Leaving the optional spatial
+domain of `integrate` freezes a path and flags it rather than aborting the run.
 """
 
 from __future__ import annotations
@@ -110,26 +110,24 @@ def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
 
 
 def _bundle(velocity: VelocityField, sources: tuple[SlitSource, ...], count: int,
-            span: float, t_max: float, dt: float, domain) -> TrajectorySet:
+            span: float, t_max: float, dt: float) -> TrajectorySet:
     """Seed every source, slit 1 first, and integrate all seeds at once."""
     offsets = [seed_positions(source, count, span) for source in sources]
     starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
-    times, positions, exited = integrate(velocity, starts, t_max, dt, domain)
+    times, positions, exited = integrate(velocity, starts, t_max, dt)
     seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
     return TrajectorySet(seeds=seeds, times=times, positions=positions, exited=exited)
 
 
 def single_slit_trajectories(source: SlitSource, params: PhysicalParams,
-                             count: int, span: float, t_max: float, dt: float,
-                             domain: tuple[float, float] | None = None) -> TrajectorySet:
+                             count: int, span: float, t_max: float, dt: float) -> TrajectorySet:
     return _bundle(lambda x, t: total_velocity(source, params, x, t), (source,),
-                   count, span, t_max, dt, domain)
+                   count, span, t_max, dt)
 
 
 def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
-                             t_max: float, dt: float,
-                             domain: tuple[float, float] | None = None) -> TrajectorySet:
+                             t_max: float, dt: float) -> TrajectorySet:
     """Seed both slits symmetrically and integrate through the emergent
     two-slit velocity field."""
     return _bundle(lambda x, t: field_velocity(system, x, t), (system.slit1, system.slit2),
-                   count, span, t_max, dt, domain)
+                   count, span, t_max, dt)

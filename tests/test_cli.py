@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import importlib.util
 import math
 from pathlib import Path
 
@@ -394,7 +395,11 @@ def test_pgm_signed_companion(tmp_path):
     grid = Grid(x_min=0.0, x_max=1.0, nx=3, t_max=1.0, nt=1)
     values = np.array([[-2.0, 0.0, 1.0], [1.0, -0.5, 0.0]])
     path = tmp_path / "phase.pgm"
-    write_pgm(ScalarField(grid, values), path, signed=True)
+    assert write_pgm(ScalarField(grid, values), path, signed=True) == [
+        path, tmp_path / "phase_sign.pgm"]
+    assert write_pgm(ScalarField(grid, values), tmp_path / "plain.pgm") == [
+        tmp_path / "plain.pgm"]
+    assert not (tmp_path / "plain_sign.pgm").exists()
     _, _, magnitudes = read_pgm(path)
     assert magnitudes[0, 0] == 255          # |-2| is the largest magnitude
     comment, shape, signs = read_pgm(tmp_path / "phase_sign.pgm")
@@ -524,6 +529,37 @@ def test_main_rejects_oversized_plans(tmp_path, capsys, monkeypatch, overrides, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert where in err and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("dt", ["12", "100"])
+def test_main_rejects_trajectory_dt_past_horizon(tmp_path, capsys, monkeypatch, dt):
+    def refuse(scenario):
+        raise AssertionError("a trajectory step past t_max reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    out = tmp_path / "o"
+    assert main(["fig4", "--out", str(out), "--override", f"trajectories.dt={dt}",
+                 "--override", "output.select=trajectories"]) == 2
+    assert (f"line 22: trajectory dt must be < grid t_max = 12.0, got {float(dt)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert load_scenario("fig4", overrides=["trajectories.dt=11.9"]).trajectories.dt == 11.9
+
+
+def test_render_figures_stops_at_first_failure(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_figures.py"
+    spec = importlib.util.spec_from_file_location("render_figures", script)
+    render_figures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(render_figures)
+
+    def refuse(scenario):
+        raise AssertionError("a bad --gamma reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    root = tmp_path / "figures"
+    assert render_figures.main(["--out", str(root), "--gamma", "0"]) == 2
+    assert "--gamma must be > 0" in capsys.readouterr().err
+    assert not root.exists()
 
 
 def test_main_missing_file(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import ballistic
 from ballistic import (
     Grid,
     ParameterError,
@@ -161,3 +162,13 @@ def test_stability_report_describe(params, unit_source):
     g = Grid(x_min=-5.0, x_max=5.0, nx=101, t_max=2.0, nt=10)
     text = check_stability(g, unit_source, params).describe()
     assert "dt" in text and "VIOLATED" in text
+
+
+def test_package_exports_each_module_all():
+    # the package root restates no name: it re-exports each module's __all__
+    modules = (ballistic.core, ballistic.analytic, ballistic.interference,
+               ballistic.fdm, ballistic.trajectories)
+    names = ballistic.__all__
+    assert len(names) == len(set(names)) == 42
+    assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
+    assert all(hasattr(ballistic, name) for name in names)
