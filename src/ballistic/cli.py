@@ -309,6 +309,9 @@ def _plan_errors(scenario: Scenario, section_lines: dict[str, int]) -> list[tupl
             _solver_config(scenario)
         except (StabilityError, ParameterError) as exc:
             errors.append((section_lines["solver"], str(exc)))
+        except ArithmeticError:  # a float overflow or a division by an underflowed zero
+            errors.append((section_lines["solver"], "hbar, mass, sigma0 and the grid put "
+                                                    "the solver outside the float64 range"))
     grid = scenario.grid
     cells = (grid.nt + 1) * grid.nx
     if cells > _MAX_VALUES:
@@ -454,15 +457,6 @@ def _trajectory_plan(scenario: Scenario) -> tuple[TrajectoryRequest, float]:
     return req, req.dt if req.dt is not None else scenario.grid.dt / 4.0
 
 
-def _system(scenario: Scenario) -> DoubleSlitSystem:
-    return DoubleSlitSystem(
-        slit1=scenario.slit1,
-        slit2=scenario.slit2,
-        params=scenario.params,
-        shifter=scenario.shifter,
-    )
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the analytic, solver and trajectory pipelines a scenario
     selects.  Single-source density comes from the solver when one is
@@ -472,20 +466,22 @@ def run_scenario(scenario: Scenario) -> RunResult:
     selected = set(scenario.outputs)
     fields: dict[str, ScalarField] = {}
     norm_trace = None
+    system = None
+    if scenario.slit2 is not None:
+        system = DoubleSlitSystem(slit1=scenario.slit1, slit2=scenario.slit2,
+                                  params=scenario.params, shifter=scenario.shifter)
 
     solver_result: SolveResult | None = None
     needs_solver = bool(selected & {"diffusivity", "norm_trace"}) or (
-        "density" in selected and scenario.slit2 is None and scenario.solver is not None
+        "density" in selected and system is None and scenario.solver is not None
     )
     if needs_solver and scenario.solver is not None:
         solver_result = solve(_solver_config(scenario))
 
-    if scenario.slit2 is not None:
+    if system is not None:
         if selected & {"density", "phase_difference", "entangling_current"}:
-            grids = intensity_grid(_system(scenario), grid)
-            for name in ("density", "phase_difference", "entangling_current"):
-                if name in selected:
-                    fields[name] = getattr(grids, name)
+            fields.update((name, field) for name, field in intensity_grid(system, grid).items()
+                          if name in selected)
     elif "density" in selected:
         if solver_result is not None:
             fields["density"] = solver_result.density
@@ -502,10 +498,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     trajectories = None
     if "trajectories" in selected:
         req, dt = _trajectory_plan(scenario)
-        if scenario.slit2 is not None:
-            trajectories = double_slit_trajectories(
-                _system(scenario), req.count, req.span, grid.t_max, dt
-            )
+        if system is not None:
+            trajectories = double_slit_trajectories(system, req.count, req.span, grid.t_max, dt)
         else:
             trajectories = single_slit_trajectories(
                 scenario.slit1, scenario.params, req.count, req.span, grid.t_max, dt
@@ -655,12 +649,22 @@ def main(argv: list[str] | None = None) -> int:
             where = f"line {line}" if line else "config"
             print(f"  {where}: {msg}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config {args.target!r}: {exc}", file=sys.stderr)
         return 2
 
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot use --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
+
+    try:
         result = run_scenario(scenario)
+    except (ArithmeticError, ParameterError) as exc:
+        detail = exc if isinstance(exc, ParameterError) else "a value overflows float64"
+        print(f"scales out of range: {detail}", file=sys.stderr)
+        return 2
     except StabilityError as exc:
         print(f"stability failure: {exc}", file=sys.stderr)
         print(f"  {exc.report.describe()}", file=sys.stderr)

@@ -102,6 +102,8 @@ class Grid:
         _require_finite(x_min=self.x_min, x_max=self.x_max, t_max=self.t_max)
         if not self.x_max > self.x_min:
             raise ParameterError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ParameterError(f"x_max - x_min must be finite, got [{self.x_min}, {self.x_max}]")
         if self.nx < 3:
             raise ParameterError(f"nx must be >= 3, got {self.nx}")
         if not self.t_max > 0:
@@ -128,7 +130,7 @@ class Grid:
 class ScalarField:
     """A scalar quantity sampled on a Grid, stored row-major by time:
     values[j, i] belongs to (t_j, x_i).  The array is copied and frozen at
-    construction."""
+    construction, and every value must be finite."""
 
     grid: Grid
     values: np.ndarray
@@ -140,6 +142,8 @@ class ScalarField:
             raise ParameterError(
                 f"field shape {arr.shape} does not match grid shape {expected}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ParameterError("field values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -7,10 +7,11 @@ term sqrt(P1 P2)(u1 - u2) sin(phi12) feeds the current even where the
 packet velocities cancel, and is exposed separately as the entangling
 current.
 
-Every field is a view of one kernel, `_two_slit_terms`, which computes
-sigma(t)^2, the offsets, densities, velocities and phi12 once per call and
-validates t once; for a scalar t its time-only factors are Python floats.
-`intensity_grid` runs it on blocks of time rows.
+One kernel, `two_slit_fields`, computes sigma(t)^2, the offsets,
+densities, velocities and phi12 once per call and validates t once; for a
+scalar t its time-only factors are Python floats.  `field_velocity` divides
+its current by its density, and `intensity_grid` runs it on blocks of time
+rows.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from .analytic import sigma_at  # noqa: F401
 __all__ = [
     "PhaseShifterSchedule",
     "DoubleSlitSystem",
-    "InterferenceGrid",
-    "phase_difference",
-    "total_density",
-    "total_current",
-    "entangling_current",
+    "two_slit_fields",
     "field_velocity",
     "intensity_grid",
 ]
@@ -98,12 +95,21 @@ class DoubleSlitSystem:
             raise ParameterError(f"blocked_slit must be None, 1 or 2, got {self.blocked_slit}")
 
 
-_Terms = namedtuple("_Terms", "density current entangling phi")
+_Fields = namedtuple("_Fields", "density phase_difference entangling_current current")
+_GRID_FIELDS = _Fields._fields[:3]  # the fields intensity_grid samples, by output name
 
 
-def _two_slit_terms(system: DoubleSlitSystem, x, t) -> _Terms:
-    """Density, current, entangling current and relative phase at (x, t),
-    built from each slit's density P, total velocity v and osmotic velocity u."""
+def two_slit_fields(system: DoubleSlitSystem, x, t) -> _Fields:
+    """The two-slit fields at (x, t), broadcast over x and t, built from each
+    slit's density P, total velocity v and osmotic velocity u:
+
+    density: the interference intensity P1 + P2 + 2 sqrt(P1 P2) cos(phi12);
+    phase_difference: the relative phase phi2 - phi1, shifter value subtracted;
+    entangling_current: the cross-slit current sqrt(P1 P2)(u1 - u2) sin(phi12),
+        the only term of the current that survives where both packet
+        contributions cancel;
+    current: the probability current of the superposed field.
+    """
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
     if (t < 0) if isinstance(t, float) else np.any(t < 0):
         raise ParameterError("time must be >= 0")
@@ -134,28 +140,7 @@ def _two_slit_terms(system: DoubleSlitSystem, x, t) -> _Terms:
     cross = np.sqrt(p1 * p2)
     entangling = cross * (u1 - u2) * np.sin(phi)
     current = p1 * v1 + p2 * v2 + cross * (v1 + v2) * cos_phi + entangling
-    return _Terms(density, current, entangling, phi)
-
-
-def phase_difference(system: DoubleSlitSystem, x, t):
-    """Relative phase phi2 - phi1 with the shifter value subtracted."""
-    return _two_slit_terms(system, x, t).phi
-
-
-def total_density(system: DoubleSlitSystem, x, t):
-    """Interference intensity P1 + P2 + 2 sqrt(P1 P2) cos(phi12)."""
-    return _two_slit_terms(system, x, t).density
-
-
-def total_current(system: DoubleSlitSystem, x, t):
-    """Probability current of the superposed field."""
-    return _two_slit_terms(system, x, t).current
-
-
-def entangling_current(system: DoubleSlitSystem, x, t):
-    """Cross-slit current sqrt(P1 P2)(u1 - u2) sin(phi12); the only term of
-    the total current that survives where both packet contributions cancel."""
-    return _two_slit_terms(system, x, t).entangling
+    return _Fields(density, phi, entangling, current)
 
 
 def field_velocity(system: DoubleSlitSystem, x, t):
@@ -164,29 +149,20 @@ def field_velocity(system: DoubleSlitSystem, x, t):
     Callers that integrate trajectories must treat NaN as an undefined
     velocity sample, not as an error.
     """
-    terms = _two_slit_terms(system, x, t)
+    terms = two_slit_fields(system, x, t)
     out = np.full(np.shape(terms.density), np.nan)
     return np.divide(terms.current, terms.density, out=out, where=terms.density > VELOCITY_FLOOR)
 
 
-@dataclass(frozen=True)
-class InterferenceGrid:
-    """Density plus its companion diagnostics sampled on one grid."""
-
-    density: ScalarField
-    phase_difference: ScalarField
-    entangling_current: ScalarField
-
-
-def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> InterferenceGrid:
-    """Evaluate density, relative phase and entangling current on a grid."""
+def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarField]:
+    """Density, relative phase and entangling current on a grid, keyed by
+    output name."""
     x, t = grid.x(), grid.times()
-    values = [np.empty((t.size, x.size)) for _ in range(3)]
+    values = {name: np.empty((t.size, x.size)) for name in _GRID_FIELDS}
     for start in range(0, t.size, GRID_ROW_BLOCK):
         rows = slice(start, start + GRID_ROW_BLOCK)
-        terms = _two_slit_terms(system, x, t[rows, None])
-        values[0][rows] = terms.density
-        values[1][rows] = terms.phi
-        values[2][rows] = terms.entangling
+        fields = two_slit_fields(system, x, t[rows, None])
+        for name, buffer in values.items():
+            buffer[rows] = getattr(fields, name)
     # ScalarField copies its values: drop each buffer once it is copied
-    return InterferenceGrid(*(ScalarField(grid, values.pop(0)) for _ in range(3)))
+    return {name: ScalarField(grid, values.pop(name)) for name in _GRID_FIELDS}

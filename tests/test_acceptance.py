@@ -22,19 +22,17 @@ from ballistic import (
     SolverConfig,
     check_stability,
     closed_form_diffusivity,
-    entangling_current,
     field_velocity,
     gaussian_density,
     implicit_step,
     kink_time,
-    phase_difference,
     phase_space_density,
     sigma_at,
     single_slit_trajectories,
     solve,
-    total_density,
     total_velocity,
     trajectory_position,
+    two_slit_fields,
     uncertainty_norm,
 )
 from ballistic.cli import load_scenario, run_scenario
@@ -228,8 +226,8 @@ def test_08_fringe_phase_coincidence():
 
     checks = []
     for t in (360.0, 420.0, 480.0):
-        density = total_density(system, xs, t)
-        phi = phase_difference(system, xs, t)
+        fields = two_slit_fields(system, xs, t)
+        density, phi = fields.density, fields.phase_difference
         slope = np.abs(np.gradient(phi, xs))
         up = (density[1:-1] > density[:-2]) & (density[1:-1] >= density[2:])
         down = (density[1:-1] < density[:-2]) & (density[1:-1] <= density[2:])
@@ -279,12 +277,12 @@ def test_10_current_consistency():
     worst_root_current = 0.0
     xs_scan = np.linspace(-10.0, 10.0, 801)
     for n in (-2, -1, 1, 2):
-        vals = phase_difference(system, xs_scan, t) - n * math.pi
+        vals = two_slit_fields(system, xs_scan, t).phase_difference - n * math.pi
         flips = np.where(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-        root = brentq(lambda x: phase_difference(system, x, t) - n * math.pi,
+        root = brentq(lambda x: two_slit_fields(system, x, t).phase_difference - n * math.pi,
                       xs_scan[flips[0]], xs_scan[flips[0] + 1], xtol=1e-14)
         worst_root_current = max(worst_root_current,
-                                 abs(entangling_current(system, root, t)))
+                                 abs(two_slit_fields(system, root, t).entangling_current))
     report(10, "current-consistency", [
         (v_gap <= 1e-12, f"blocked-slit velocity departs by {v_gap:.3e}"),
         (worst_root_current <= 1e-12,

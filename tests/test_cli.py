@@ -567,6 +567,51 @@ def test_main_missing_file(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_main_rejects_undecodable_config(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY.replace("[slit1]", "[slit1]  # \xe9cart").encode("latin-1"))
+    out = tmp_path / "o"
+    assert main([str(cfg), "--out", str(out)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_main_rejects_unusable_out_before_running(tmp_path, capsys, monkeypatch, under):
+    def refuse(scenario):
+        raise AssertionError("an unusable --out reached run_scenario")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / "o" if under else blocker
+    assert main(["fig3a", "--out", str(out)]) == 2
+    assert "cannot use --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,overrides", [
+    ("fig3a", ["grid.x_min=-1e308", "grid.x_max=1e308"]),
+    ("fig1", ["slit1.sigma0=1e-200"]),
+    ("fig4", ["slit1.sigma0=1e-200"]),
+    ("fig4", ["slit1.drift=1e300"]),
+    ("fig4", ["trajectories.span=1e308"]),
+    ("fig1", ["params.mass=1e-200"]),
+    ("fig1", ["params.hbar=1e-200", "solver.scheme=explicit"]),
+], ids=["fig3a-x_span", "fig1-sigma0", "fig4-sigma0", "fig4-drift", "fig4-span", "fig1-mass",
+        "fig1-hbar-explicit"])
+def test_main_rejects_scales_out_of_float64_range(tmp_path, capsys, target, overrides):
+    # each run used to raise a traceback or exit 0 with non-finite values
+    argv = [target, "--out", str(tmp_path / "o"), "--override", "grid.nx=41",
+            "--override", "grid.nt=20"]
+    for item in overrides:
+        argv += ["--override", item]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err or "scales out of range" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_main_rejects_unknown_format(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY, encoding="utf-8")

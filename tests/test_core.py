@@ -119,6 +119,21 @@ def test_scalar_field_shape_and_immutability():
         ScalarField(g, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scalar_field_rejects_non_finite_values(bad):
+    g = Grid(x_min=0.0, x_max=1.0, nx=5, t_max=1.0, nt=2)
+    values = np.zeros((3, 5))
+    values[1, 2] = bad
+    with pytest.raises(ParameterError, match="field values must be finite"):
+        ScalarField(g, values)
+
+
+def test_grid_rejects_span_past_float64():
+    # both ends are finite, but x_max - x_min overflows to inf
+    with pytest.raises(ParameterError, match="x_max - x_min must be finite"):
+        Grid(x_min=-1e308, x_max=1e308, nx=11, t_max=1.0, nt=10)
+
+
 def test_check_stability_hand_value(params):
     # sigma0=1, D=0.5, dx=0.1, t_max=2: D_t(2)=0.5 so the bound is
     # 0.01 / (2 * 0.25 * 2) = 0.01
@@ -169,6 +184,6 @@ def test_package_exports_each_module_all():
     modules = (ballistic.core, ballistic.analytic, ballistic.interference,
                ballistic.fdm, ballistic.trajectories)
     names = ballistic.__all__
-    assert len(names) == len(set(names)) == 42
+    assert len(names) == len(set(names)) == 38
     assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
     assert all(hasattr(ballistic, name) for name in names)

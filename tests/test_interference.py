@@ -12,16 +12,13 @@ from ballistic import (
     PhaseShifterSchedule,
     PhysicalParams,
     SlitSource,
-    entangling_current,
     field_velocity,
     gaussian_density,
     intensity_grid,
     osmotic_velocity,
     phase,
-    phase_difference,
-    total_current,
-    total_density,
     total_velocity,
+    two_slit_fields,
 )
 
 # frozen reference: mirrored slits at -/+2, sigma01=1, sigma02=0.5, v=0,
@@ -86,13 +83,13 @@ def test_system_rejects_bad_blocked_index(params):
 def test_phase_difference_symmetry_point(params):
     sys = mirrored(params)
     for t in (0.0, 1.0, 6.0):
-        assert phase_difference(sys, 0.0, t) == 0.0
+        assert two_slit_fields(sys, 0.0, t).phase_difference == 0.0
 
 
 def test_phase_difference_with_completed_shift(params):
     sched = PhaseShifterSchedule(total_shift=math.pi, t_start=0.5, t_end=1.0)
     sys = mirrored(params, shifter=sched)
-    assert phase_difference(sys, 0.0, 2.0) == -math.pi
+    assert two_slit_fields(sys, 0.0, 2.0).phase_difference == -math.pi
 
 
 def test_phase_difference_mixed_widths(params):
@@ -101,7 +98,8 @@ def test_phase_difference_mixed_widths(params):
         slit2=SlitSource(center=2.0, sigma0=0.5),
         params=params,
     )
-    assert phase_difference(sys, 0.0, 2.0) == pytest.approx(PHI_MIXED_WIDTHS, rel=1e-15)
+    phi = two_slit_fields(sys, 0.0, 2.0).phase_difference
+    assert phi == pytest.approx(PHI_MIXED_WIDTHS, rel=1e-15)
 
 
 def test_phase_difference_energy_flag(params):
@@ -118,7 +116,8 @@ def test_phase_difference_energy_flag(params):
         include_energy_term=True,
     )
     delta_e = 0.5 * params.mass * (v2 ** 2 - v1 ** 2)
-    got = phase_difference(plain, 1.0, t) - phase_difference(flagged, 1.0, t)
+    got = (two_slit_fields(plain, 1.0, t).phase_difference
+           - two_slit_fields(flagged, 1.0, t).phase_difference)
     assert got == pytest.approx(delta_e * t / params.hbar, rel=1e-12)
 
 
@@ -128,20 +127,20 @@ def test_total_density_blocked_slit(params):
     sys = mirrored(params, blocked_slit=2)
     xs = np.linspace(-8.0, 8.0, 41)
     expected = gaussian_density(SlitSource(center=-4.0), params, xs, 1.5)
-    assert total_density(sys, xs, 1.5) == pytest.approx(expected, rel=1e-12)
+    assert two_slit_fields(sys, xs, 1.5).density == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_density_constructive_midpoint(params):
     sys = mirrored(params)
     p1 = gaussian_density(SlitSource(center=-4.0), params, 0.0, 6.0)
-    assert total_density(sys, 0.0, 6.0) == pytest.approx(4.0 * p1, rel=1e-14)
+    assert two_slit_fields(sys, 0.0, 6.0).density == pytest.approx(4.0 * p1, rel=1e-14)
 
 
 def test_total_density_destructive_null(params):
     sched = PhaseShifterSchedule(total_shift=math.pi, t_start=0.0, t_end=1.0)
     sys = mirrored(params, shifter=sched)
     # phi12(0, t>1) = -pi and P1 == P2 there, so the null is exact
-    assert total_density(sys, 0.0, 6.0) == pytest.approx(0.0, abs=1e-18)
+    assert two_slit_fields(sys, 0.0, 6.0).density == pytest.approx(0.0, abs=1e-18)
 
 
 @given(x=st.floats(min_value=-12.0, max_value=12.0),
@@ -155,7 +154,7 @@ def test_total_density_bounds(x, t, shift):
                            params=p, shifter=sched)
     p1 = gaussian_density(sys.slit1, p, x, t)
     p2 = gaussian_density(sys.slit2, p, x, t)
-    p_tot = total_density(sys, x, t)
+    p_tot = two_slit_fields(sys, x, t).density
     envelope = (math.sqrt(p1) + math.sqrt(p2)) ** 2
     assert p_tot >= 0.0
     assert p_tot <= envelope * (1 + 1e-12) + 1e-300
@@ -167,13 +166,13 @@ def test_total_current_blocked_slit(params):
     s1 = SlitSource(center=-4.0)
     expected = (gaussian_density(s1, params, xs, 2.0)
                 * total_velocity(s1, params, xs, 2.0))
-    assert total_current(sys, xs, 2.0) == pytest.approx(expected, rel=1e-12)
+    assert two_slit_fields(sys, xs, 2.0).current == pytest.approx(expected, rel=1e-12)
 
 
 def test_total_current_vanishes_at_midpoint(params):
     sys = mirrored(params)
     for t in (0.5, 3.0, 9.0):
-        assert total_current(sys, 0.0, t) == pytest.approx(0.0, abs=1e-16)
+        assert two_slit_fields(sys, 0.0, t).current == pytest.approx(0.0, abs=1e-16)
 
 
 def test_current_equals_density_times_velocity(params):
@@ -181,8 +180,8 @@ def test_current_equals_density_times_velocity(params):
     xs = np.linspace(-6.0, 6.0, 25)
     t = 4.0
     v = field_velocity(sys, xs, t)
-    p_tot = total_density(sys, xs, t)
-    j = total_current(sys, xs, t)
+    fields = two_slit_fields(sys, xs, t)
+    p_tot, j = fields.density, fields.current
     ok = np.isfinite(v)
     assert ok.all()
     assert j == pytest.approx(p_tot * v, rel=1e-12, abs=1e-300)
@@ -192,8 +191,8 @@ def test_mirror_symmetry(params):
     sys = mirrored(params)
     xs = np.linspace(-10.0, 10.0, 801)
     for t in (0.0, 1.0, 3.7, 12.0):
-        p_tot = total_density(sys, xs, t)
-        j_tot = total_current(sys, xs, t)
+        fields = two_slit_fields(sys, xs, t)
+        p_tot, j_tot = fields.density, fields.current
         assert np.abs(p_tot - p_tot[::-1]).max() < 1e-14
         assert np.abs(j_tot + j_tot[::-1]).max() < 1e-14
 
@@ -201,7 +200,7 @@ def test_mirror_symmetry(params):
 def test_entangling_current_midpoint_exact_zero(params):
     sys = mirrored(params)
     # equal widths make the spreading terms cancel exactly at x=0
-    assert entangling_current(sys, 0.0, 5.0) == 0.0
+    assert two_slit_fields(sys, 0.0, 5.0).entangling_current == 0.0
 
 
 def test_entangling_current_vanishes_at_phase_roots(params):
@@ -209,12 +208,12 @@ def test_entangling_current_vanishes_at_phase_roots(params):
     t = 6.0
     xs = np.linspace(-10.0, 10.0, 801)
     for n in (-2, -1, 1, 2):
-        f = lambda x: phase_difference(sys, x, t) - n * math.pi
+        f = lambda x: two_slit_fields(sys, x, t).phase_difference - n * math.pi
         vals = f(xs)
         brackets = np.where(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
         assert brackets.size > 0
         root = brentq(f, xs[brackets[0]], xs[brackets[0] + 1], xtol=1e-14)
-        assert abs(entangling_current(sys, root, t)) < 1e-12
+        assert abs(two_slit_fields(sys, root, t).entangling_current) < 1e-12
 
 
 def test_field_velocity_blocked_reduction(params):
@@ -241,18 +240,19 @@ def test_intensity_grid_shapes_and_t0(params):
     sys = mirrored(params)
     grid = Grid(x_min=-10.0, x_max=10.0, nx=201, t_max=12.0, nt=100)
     bundle = intensity_grid(sys, grid)
-    for field in (bundle.density, bundle.phase_difference, bundle.entangling_current):
+    assert list(bundle) == ["density", "phase_difference", "entangling_current"]
+    for field in bundle.values():
         assert field.values.shape == (101, 201)
         assert field.grid is grid
-    xs = grid.x()
-    assert bundle.density.values[0] == pytest.approx(total_density(sys, xs, 0.0), rel=1e-15)
+    expected = two_slit_fields(sys, grid.x(), 0.0).density
+    assert bundle["density"].values[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_intensity_grid_density_nonnegative(params):
     sched = PhaseShifterSchedule(total_shift=3 * math.pi, t_start=2.0, t_end=4.0)
     sys = mirrored(params, shifter=sched)
     grid = Grid(x_min=-10.0, x_max=10.0, nx=201, t_max=12.0, nt=100)
-    assert intensity_grid(sys, grid).density.values.min() >= 0.0
+    assert intensity_grid(sys, grid)["density"].values.min() >= 0.0
 
 
 @given(k=st.integers(min_value=-3, max_value=3))
@@ -265,15 +265,13 @@ def test_shift_equivalence_mod_two_pi(k):
     b = mirrored(p, shifter=alt)
     xs = np.linspace(-10.0, 10.0, 101)
     for t in (2.0, 5.0):
-        assert np.abs(total_density(a, xs, t) - total_density(b, xs, t)).max() < 1e-12
+        gap = two_slit_fields(a, xs, t).density - two_slit_fields(b, xs, t).density
+        assert np.abs(gap).max() < 1e-12
 
 
 # --- kernel equivalence ----------------------------------------------------
 # A reference built from the single-slit closed forms in `analytic`, one
 # quantity at a time, as the two-slit fields are defined.
-
-FIELDS = (phase_difference, total_density, total_current, entangling_current, field_velocity)
-
 
 def reference_fields(system, x, t):
     p = system.params
@@ -298,11 +296,11 @@ def reference_fields(system, x, t):
     entangling = cross * (u1 - u2) * np.sin(phi)
     current = p1 * v1 + p2 * v2 + cross * (v1 + v2) * np.cos(phi) + entangling
     return {
-        phase_difference: phi,
-        total_density: density,
-        total_current: current,
-        entangling_current: entangling,
-        field_velocity: current / np.where(density > 0, density, 1.0),
+        "density": density,
+        "phase_difference": phi,
+        "entangling_current": entangling,
+        "current": current,
+        "velocity": current / np.where(density > 0, density, 1.0),
         "envelope": (np.sqrt(p1) + np.sqrt(p2)) ** 2,
     }
 
@@ -350,15 +348,14 @@ def sample_points(draw):
 def test_fields_match_single_slit_closed_forms(system, point):
     x, t = point
     ref = reference_fields(system, x, t)
-    for field in FIELDS[:4]:
-        got = field(system, x, t)
+    for name, got in two_slit_fields(system, x, t)._asdict().items():
         assert np.shape(got) == np.broadcast_shapes(np.shape(x), np.shape(t))
-        assert np.allclose(got, ref[field], rtol=1e-12, atol=1e-12), field.__name__
+        assert np.allclose(got, ref[name], rtol=1e-12, atol=1e-12), name
     # J / P is compared where P is not a near-cancellation of the envelope;
     # closer to a null any rounding of P is amplified without bound
     velocity = np.broadcast_to(field_velocity(system, x, t), np.shape(ref["envelope"]))
-    conditioned = ref[total_density] > 0.1 * ref["envelope"]
-    assert np.allclose(velocity[conditioned], ref[field_velocity][conditioned],
+    conditioned = ref["density"] > 0.1 * ref["envelope"]
+    assert np.allclose(velocity[conditioned], ref["velocity"][conditioned],
                        rtol=1e-12, atol=1e-12)
     assert np.isnan(velocity[ref["envelope"] == 0.0]).all()
 
@@ -373,14 +370,23 @@ def test_intensity_grid_matches_pointwise_fields(params):
     bundle = intensity_grid(sys, grid)
     xs = grid.x()
     for j, t in enumerate(grid.times()):
-        for field, pointwise in ((bundle.density, total_density),
-                                 (bundle.phase_difference, phase_difference),
-                                 (bundle.entangling_current, entangling_current)):
-            assert np.allclose(field.values[j], pointwise(sys, xs, t), rtol=1e-12, atol=1e-15)
+        pointwise = two_slit_fields(sys, xs, t)
+        for name, field in bundle.items():
+            assert np.allclose(field.values[j], getattr(pointwise, name), rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.__name__)
+# every two-slit quantity as a function of (system, x, t)
+FIELDS = {
+    "phase_difference": lambda system, x, t: two_slit_fields(system, x, t).phase_difference,
+    "total_density": lambda system, x, t: two_slit_fields(system, x, t).density,
+    "total_current": lambda system, x, t: two_slit_fields(system, x, t).current,
+    "entangling_current": lambda system, x, t: two_slit_fields(system, x, t).entangling_current,
+    "field_velocity": field_velocity,
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("t", [-0.1, np.array([0.0, 1.0, -1e-9])], ids=["scalar", "array"])
 def test_negative_time_rejected(params, field, t):
     with pytest.raises(ParameterError):
-        field(mirrored(params), 0.5, t)
+        FIELDS[field](mirrored(params), 0.5, t)

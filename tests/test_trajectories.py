@@ -15,11 +15,11 @@ from ballistic import (
     gaussian_density,
     integrate,
     kink_time,
-    phase_difference,
     seed_positions,
     single_slit_trajectories,
     total_velocity,
     trajectory_position,
+    two_slit_fields,
 )
 
 
@@ -191,10 +191,13 @@ def test_paths_kink_at_bright_fringe_boundaries(two_slit_run):
         p2 = gaussian_density(s2, params, x, t)
         return 2.0 * np.sqrt(p1 * p2) / (p1 + p2)
 
+    def phase_difference(x, t):
+        return two_slit_fields(system, x, t).phase_difference
+
     checked = passed = 0
     for k in range(pos.shape[1]):
         x = pos[:, k]
-        phi = phase_difference(system, x, times)
+        phi = phase_difference(x, times)
         level = np.floor((phi - np.pi) / (2.0 * np.pi))
         crossings = np.where(np.diff(level) != 0)[0]
         if crossings.size == 0:
@@ -207,8 +210,8 @@ def test_paths_kink_at_bright_fringe_boundaries(two_slit_run):
             if visibility(x_c, t_c) < 0.05:
                 continue  # fringes too washed out to carry a kink
             h = 1e-6
-            slope = abs(phase_difference(system, x_c + h, t_c)
-                        - phase_difference(system, x_c - h, t_c)) / (2.0 * h)
+            slope = abs(phase_difference(x_c + h, t_c)
+                        - phase_difference(x_c - h, t_c)) / (2.0 * h)
             if slope == 0.0:
                 continue
             spacing = 2.0 * math.pi / slope
