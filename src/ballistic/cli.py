@@ -30,7 +30,7 @@ import numpy as np
 from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource
 from .analytic import gaussian_density
 from .interference import DoubleSlitSystem, PhaseShifterSchedule, intensity_grid
-from .fdm import MODES, SCHEMES, NormDriftError, SolveResult, SolverConfig, StabilityError, solve
+from .fdm import MODES, SCHEMES, NormDriftError, SolverConfig, StabilityError, solve
 from .trajectories import TrajectorySet, double_slit_trajectories, single_slit_trajectories
 
 __all__ = [
@@ -52,17 +52,18 @@ __all__ = [
     "main",
 ]
 
-OUTPUT_NAMES = (
-    "density",
-    "phase_difference",
-    "entangling_current",
-    "diffusivity",
-    "trajectories",
-    "norm_trace",
-)
-
-# fields rendered from magnitude plus a sign companion in PGM output
-_SIGNED_FIELDS = frozenset({"phase_difference", "entangling_current"})
+# Every output name, in the order the unknown-output message lists them,
+# with the config section it requires (None for none) and its kind: a
+# "field" is written as csv and/or pgm, a "signed" field's pgm gets a
+# *_sign.pgm companion, and a "table" is always csv.
+OUTPUTS = {
+    "density": (None, "field"),
+    "phase_difference": ("slit2", "signed"),
+    "entangling_current": ("slit2", "signed"),
+    "diffusivity": ("solver", "field"),
+    "trajectories": (None, "table"),
+    "norm_trace": ("solver", "table"),
+}
 
 # most float64 values one grid field or trajectory table may hold (400 MB);
 # a larger plan is a config error rather than an allocation attempt
@@ -276,9 +277,9 @@ def parse_config(text: str, name: str = "scenario", overrides=()) -> Scenario:
     names, outputs = built.pop("output"), ()
     if names is not None:
         line = sections["output"]["select"][1]
-        bad = [n for n in names if n not in OUTPUT_NAMES]
+        bad = [n for n in names if n not in OUTPUTS]
         for n in bad:
-            errors.append((line, f"unknown output {n!r}; choose from {', '.join(OUTPUT_NAMES)}"))
+            errors.append((line, f"unknown output {n!r}; choose from {', '.join(OUTPUTS)}"))
         if len(set(names)) != len(names):
             errors.append((line, "duplicate entries in output select"))
         if not names:
@@ -286,10 +287,10 @@ def parse_config(text: str, name: str = "scenario", overrides=()) -> Scenario:
         if not bad and names and len(set(names)) == len(names):
             outputs = tuple(names)
         for n in outputs:
-            if n in ("phase_difference", "entangling_current") and "slit2" not in sections:
-                errors.append((line, f"output {n!r} requires two sources ([slit2] missing)"))
-            if n in ("diffusivity", "norm_trace") and "solver" not in sections:
-                errors.append((line, f"output {n!r} requires a [solver] section"))
+            needed = OUTPUTS[n][0]
+            if needed is not None and needed not in sections:
+                errors.append((line, f"output {n!r} requires " + (
+                    "two sources ([slit2] missing)" if needed == "slit2" else "a [solver] section")))
     if errors:
         raise ConfigError(sorted(errors, key=lambda error: error[0]))
 
@@ -431,10 +432,11 @@ def load_scenario(target: str, overrides: list[str] | None = None) -> Scenario:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Each selected output by name, in `scenario.outputs` order: a
+    ScalarField, the TrajectorySet, or the norm trace array."""
+
     scenario: Scenario
-    fields: dict[str, ScalarField]
-    trajectories: TrajectorySet | None
-    norm_trace: np.ndarray | None
+    outputs: dict[str, ScalarField | TrajectorySet | np.ndarray]
 
 
 def _solver_config(scenario: Scenario) -> SolverConfig:
@@ -462,52 +464,39 @@ def run_scenario(scenario: Scenario) -> RunResult:
     selects.  Single-source density comes from the solver when one is
     configured and from the closed form otherwise; two-source scenarios
     always evaluate the interference fields in closed form."""
-    grid = scenario.grid
-    selected = set(scenario.outputs)
-    fields: dict[str, ScalarField] = {}
-    norm_trace = None
+    grid, selected = scenario.grid, scenario.outputs
+    produced = {}
     system = None
     if scenario.slit2 is not None:
         system = DoubleSlitSystem(slit1=scenario.slit1, slit2=scenario.slit2,
                                   params=scenario.params, shifter=scenario.shifter)
 
-    solver_result: SolveResult | None = None
-    needs_solver = bool(selected & {"diffusivity", "norm_trace"}) or (
-        "density" in selected and system is None and scenario.solver is not None
-    )
-    if needs_solver and scenario.solver is not None:
-        solver_result = solve(_solver_config(scenario))
+    if scenario.solver is not None and (
+        any(OUTPUTS[name][0] == "solver" for name in selected)
+        or ("density" in selected and system is None)
+    ):
+        solved = solve(_solver_config(scenario))
+        produced.update(density=solved.density, diffusivity=solved.diffusivity,
+                        norm_trace=solved.norm_trace)
 
     if system is not None:
-        if selected & {"density", "phase_difference", "entangling_current"}:
-            fields.update((name, field) for name, field in intensity_grid(system, grid).items()
-                          if name in selected)
-    elif "density" in selected:
-        if solver_result is not None:
-            fields["density"] = solver_result.density
-        else:
-            x = grid.x()[None, :]
-            t = grid.times()[:, None]
-            fields["density"] = ScalarField(grid, gaussian_density(scenario.slit1, scenario.params, x, t))
+        if not {"density", "phase_difference", "entangling_current"}.isdisjoint(selected):
+            produced.update(intensity_grid(system, grid))
+    elif "density" in selected and "density" not in produced:
+        x = grid.x()[None, :]
+        t = grid.times()[:, None]
+        produced["density"] = ScalarField(grid, gaussian_density(scenario.slit1, scenario.params, x, t))
 
-    if "diffusivity" in selected:
-        fields["diffusivity"] = solver_result.diffusivity
-    if "norm_trace" in selected:
-        norm_trace = solver_result.norm_trace
-
-    trajectories = None
     if "trajectories" in selected:
         req, dt = _trajectory_plan(scenario)
         if system is not None:
-            trajectories = double_slit_trajectories(system, req.count, req.span, grid.t_max, dt)
+            produced["trajectories"] = double_slit_trajectories(
+                system, req.count, req.span, grid.t_max, dt)
         else:
-            trajectories = single_slit_trajectories(
-                scenario.slit1, scenario.params, req.count, req.span, grid.t_max, dt
-            )
+            produced["trajectories"] = single_slit_trajectories(
+                scenario.slit1, scenario.params, req.count, req.span, grid.t_max, dt)
 
-    return RunResult(
-        scenario=scenario, fields=fields, trajectories=trajectories, norm_trace=norm_trace
-    )
+    return RunResult(scenario=scenario, outputs={name: produced[name] for name in selected})
 
 
 # ---------------------------------------------------------------------------
@@ -594,23 +583,20 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
     config_path.write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
     written.append(config_path)
 
-    for name in scenario.outputs:
-        if name in ("trajectories", "norm_trace"):
+    for name, value in result.outputs.items():
+        kind = OUTPUTS[name][1]
+        if kind == "table" or "csv" in formats:
             path = out_dir / f"{name}.csv"
-            if name == "trajectories":
-                write_trajectories_csv(result.trajectories, path)
+            if isinstance(value, ScalarField):
+                write_field_csv(value, path)
+            elif isinstance(value, TrajectorySet):
+                write_trajectories_csv(value, path)
             else:
-                write_norm_trace_csv(scenario.grid.times(), result.norm_trace, path)
+                write_norm_trace_csv(scenario.grid.times(), value, path)
             written.append(path)
-            continue
-        field = result.fields[name]
-        if "csv" in formats:
-            path = out_dir / f"{name}.csv"
-            write_field_csv(field, path)
-            written.append(path)
-        if "pgm" in formats:
-            written += write_pgm(field, out_dir / f"{name}.pgm", gamma=gamma,
-                                 comment=f"{scenario.name} {name}", signed=name in _SIGNED_FIELDS)
+        if kind != "table" and "pgm" in formats:
+            written += write_pgm(value, out_dir / f"{name}.pgm", gamma=gamma,
+                                 comment=f"{scenario.name} {name}", signed=kind == "signed")
     return written
 
 
@@ -653,26 +639,31 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot read config {args.target!r}: {exc}", file=sys.stderr)
         return 2
 
+    out = Path(args.out)
+    created = [path for path in (out, *out.parents) if not path.exists()]  # leaf first
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"cannot use --out {args.out!r}: {exc}", file=sys.stderr)
         return 2
 
     try:
-        result = run_scenario(scenario)
+        # ScalarField and TrajectorySet refuse non-finite values, so numpy's
+        # overflow warnings would only precede the exit-2 line below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = run_scenario(scenario)
     except (ArithmeticError, ParameterError) as exc:
         detail = exc if isinstance(exc, ParameterError) else "a value overflows float64"
-        print(f"scales out of range: {detail}", file=sys.stderr)
-        return 2
+        status, message = 2, f"scales out of range: {detail}"
     except StabilityError as exc:
-        print(f"stability failure: {exc}", file=sys.stderr)
-        print(f"  {exc.report.describe()}", file=sys.stderr)
-        return 3
+        status, message = 3, f"stability failure: {exc}\n  {exc.report.describe()}"
     except NormDriftError as exc:
-        print(f"norm drift failure: {exc}", file=sys.stderr)
-        return 4
-
-    for path in write_outputs(result, args.out, formats=formats, gamma=args.gamma):
-        print(f"wrote {path}")
-    return 0
+        status, message = 4, f"norm drift failure: {exc}"
+    else:
+        for path in write_outputs(result, args.out, formats=formats, gamma=args.gamma):
+            print(f"wrote {path}")
+        return 0
+    for path in created:  # a failed run leaves no directory it made
+        path.rmdir()
+    print(message, file=sys.stderr)
+    return status

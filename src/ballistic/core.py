@@ -154,7 +154,6 @@ class StabilityReport:
 
     max_allowed_dt: float
     requested_dt: float
-    binding_time: float
 
     @property
     def ok(self) -> bool:
@@ -164,8 +163,7 @@ class StabilityReport:
         verdict = "ok" if self.ok else "VIOLATED"
         return (
             f"explicit stability: requested dt = {self.requested_dt:.6g}, "
-            f"max allowed dt = {self.max_allowed_dt:.6g} "
-            f"(binding at t = {self.binding_time:.6g}): {verdict}"
+            f"max allowed dt = {self.max_allowed_dt:.6g}: {verdict}"
         )
 
 
@@ -179,8 +177,4 @@ def check_stability(grid: Grid, source: SlitSource, params: PhysicalParams) -> S
     """
     d_end = params.diffusivity**2 * grid.t_max / source.sigma0**2
     max_dt = grid.dx**2 / (2.0 * d_end)
-    return StabilityReport(
-        max_allowed_dt=max_dt,
-        requested_dt=grid.dt,
-        binding_time=grid.t_max,
-    )
+    return StabilityReport(max_allowed_dt=max_dt, requested_dt=grid.dt)

@@ -86,11 +86,8 @@ def explicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.nda
     d_max = float(diff.max())
     r = d_max * dt / dx**2
     if r > _R_LIMIT:
-        report = StabilityReport(
-            max_allowed_dt=0.5 * dx**2 / d_max if d_max > 0 else np.inf,
-            requested_dt=dt,
-            binding_time=float("nan"),
-        )
+        report = StabilityReport(max_allowed_dt=0.5 * dx**2 / d_max if d_max > 0 else np.inf,
+                                 requested_dt=dt)
         raise StabilityError(f"explicit step refused: r = {r:.6g} > 1/2", report)
     padded = np.concatenate(([0.0], prev, [0.0]))
     if np.all(diff == diff[0]):

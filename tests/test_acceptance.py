@@ -187,11 +187,11 @@ def test_07_interference_topology(fig3a_run, fig4_run, fig5_run):
     sig_req = 1.05 * half_sep / math.sqrt(2.0)
     t_threshold = 2.0 * math.sqrt(sig_req**2 - 1.0)
     rows = np.where(times >= t_threshold)[0]
-    density_3a = fig3a_run.fields["density"].values
+    density_3a = fig3a_run.outputs["density"].values
     central_peak = all(int(np.argmax(density_3a[k])) == center for k in rows)
 
     # a completed odd-pi shift turns that peak into an exact null
-    density_4 = fig4_run.fields["density"].values
+    density_4 = fig4_run.outputs["density"].values
     late4 = np.where(times >= 4.5)[0]
     central_null = all(
         density_4[k, center] < density_4[k, center - 1]
@@ -201,9 +201,9 @@ def test_07_interference_topology(fig3a_run, fig4_run, fig5_run):
 
     # shifts differing by 2 pi are indistinguishable once both ramps finish
     tail = np.where(times > 7.0)[0]
-    d_gap = np.abs(density_4[tail] - fig5_run.fields["density"].values[tail]).max()
-    e_gap = np.abs(fig4_run.fields["entangling_current"].values[tail]
-                   - fig5_run.fields["entangling_current"].values[tail]).max()
+    d_gap = np.abs(density_4[tail] - fig5_run.outputs["density"].values[tail]).max()
+    e_gap = np.abs(fig4_run.outputs["entangling_current"].values[tail]
+                   - fig5_run.outputs["entangling_current"].values[tail]).max()
 
     report(7, "interference-topology", [
         (rows.size > 200, f"only {rows.size} rows past the overlap threshold"),
@@ -253,7 +253,7 @@ def test_09_trajectory_oracle(fig3a_run):
     exact = trajectory_position(SOURCE, PARAMS, xi0[None, :], bundle.times[:, None])
     rk4_err = float(np.abs(bundle.positions - exact).max())
 
-    two_slit = fig3a_run.trajectories
+    two_slit = fig3a_run.outputs["trajectories"]
     gaps = np.diff(two_slit.positions, axis=1)
     report(9, "trajectory-oracle", [
         (rk4_err <= 1e-4, f"integrator departs from the closed form by {rk4_err:.3e}"),

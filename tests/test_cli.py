@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,31 +246,31 @@ def test_run_scenario_single_source_analytic_density():
     result = run_scenario(sc)
     grid = sc.grid
     expected = gaussian_density(sc.slit1, sc.params, grid.x()[None, :], grid.times()[:, None])
-    assert np.array_equal(result.fields["density"].values, expected)
-    assert result.norm_trace is None and result.trajectories is None
+    assert np.array_equal(result.outputs["density"].values, expected)
+    assert list(result.outputs) == ["density"]
 
 
 def test_run_scenario_single_source_solver_density():
     sc = parse_config(TINY)
     result = run_scenario(sc)
     grid = sc.grid
-    density = result.fields["density"].values
+    density = result.outputs["density"].values
     assert np.array_equal(density[0], gaussian_density(sc.slit1, sc.params, grid.x(), 0.0))
     exact = gaussian_density(sc.slit1, sc.params, grid.x()[None, :], grid.times()[:, None])
     assert not np.array_equal(density, exact)   # marched, not broadcast
     assert np.allclose(density, exact, atol=5e-3)
-    assert result.norm_trace is not None
-    assert result.norm_trace.shape == (grid.nt + 1,)
+    assert list(result.outputs) == ["density", "norm_trace"]
+    assert result.outputs["norm_trace"].shape == (grid.nt + 1,)
 
 
 def test_run_scenario_two_sources():
     sc = parse_config(TWO_SLIT)
     result = run_scenario(sc)
-    assert set(result.fields) == {"density", "phase_difference", "entangling_current"}
+    assert list(result.outputs) == ["density", "phase_difference", "entangling_current",
+                                    "trajectories"]
     shape = (sc.grid.nt + 1, sc.grid.nx)
-    assert all(f.values.shape == shape for f in result.fields.values())
-    bundle = result.trajectories
-    assert bundle is not None
+    assert all(result.outputs[name].values.shape == shape for name in list(result.outputs)[:3])
+    bundle = result.outputs["trajectories"]
     assert len(bundle.seeds) == 10
     # default trajectory step is a quarter of the grid step
     assert bundle.times.size == 4 * sc.grid.nt + 1
@@ -280,8 +281,7 @@ def test_run_scenario_skips_unselected_fields():
         "select = density, phase_difference, entangling_current, trajectories",
         "select = density"))
     result = run_scenario(sc)
-    assert set(result.fields) == {"density"}
-    assert result.trajectories is None
+    assert list(result.outputs) == ["density"]
 
 
 # --- file formats -----------------------------------------------------------
@@ -429,6 +429,20 @@ def test_write_outputs_deterministic(tmp_path):
     assert "phase_difference_sign.pgm" in first
     assert "density.csv" in first and "density.pgm" in first
     assert "trajectories.csv" in first
+
+
+@pytest.mark.parametrize("text,formats,names", [
+    (TWO_SLIT, ("pgm",), ["density.pgm", "phase_difference.pgm", "phase_difference_sign.pgm",
+                          "entangling_current.pgm", "entangling_current_sign.pgm",
+                          "trajectories.csv"]),
+    (TINY, ("pgm",), ["density.pgm", "norm_trace.csv"]),
+    (TINY, ("csv", "pgm"), ["density.csv", "density.pgm", "norm_trace.csv"]),
+], ids=["two-slit-pgm", "solver-pgm", "solver-csv-pgm"])
+def test_write_outputs_file_list(tmp_path, text, formats, names):
+    # tables are csv whatever the formats; fields follow them, signed ones with a companion
+    paths = write_outputs(run_scenario(parse_config(text)), tmp_path, formats=formats)
+    assert [p.name for p in paths] == ["scenario.txt", *names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["scenario.txt", *names])
 
 
 def test_written_scenario_file_round_trips(tmp_path):
@@ -610,6 +624,7 @@ def test_main_rejects_scales_out_of_float64_range(tmp_path, capsys, target, over
     err = capsys.readouterr().err
     assert "config error" in err or "scales out of range" in err
     assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_rejects_unknown_format(tmp_path, capsys):
@@ -656,14 +671,40 @@ def test_main_stability_abort(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stability failure" in err
     assert "max allowed dt" in err
+    assert "nan" not in err
+    assert not (tmp_path / "o").exists()
 
 
-def test_main_norm_drift_abort(tmp_path, capsys):
+def drain_config(tmp_path):
     drain = TINY.replace("[solver]\nscheme = explicit",
                          "[solver]\nmode = local_recursion\nscheme = implicit")
     drain = drain.replace("t_max = 0.5", "t_max = 2.0").replace("nt = 10", "nt = 40")
     drain = drain.replace("nx = 65", "nx = 161")
     cfg = tmp_path / "drain.cfg"
     cfg.write_text(drain, encoding="utf-8")
-    assert main([str(cfg), "--out", str(tmp_path / "o")]) == 4
+    return cfg
+
+
+def test_main_norm_drift_abort(tmp_path, capsys):
+    cfg = drain_config(tmp_path)
+    assert main([str(cfg), "--out", str(tmp_path / "a" / "b" / "o")]) == 4
     assert "norm drift failure" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_main_failed_run_keeps_existing_out(tmp_path, capsys):
+    cfg = drain_config(tmp_path)
+    out = tmp_path / "kept"
+    out.mkdir()
+    assert main([str(cfg), "--out", str(out / "new")]) == 4
+    assert out.is_dir() and not list(out.iterdir())
+
+
+def test_main_out_of_range_run_prints_one_line(tmp_path, capsys):
+    argv = ["fig4", "--out", str(tmp_path / "o"), "--override", "grid.nx=41",
+            "--override", "grid.nt=20", "--override", "slit1.drift=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "scales out of range: field values must be finite\n"
+    assert not (tmp_path / "o").exists()

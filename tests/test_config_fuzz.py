@@ -41,7 +41,7 @@ values = st.one_of(
     numbers,
     st.sampled_from(["0", "1", "3", "nan", "inf", "-inf", "1e309", "", "abc",
                      "closed_form", "local_recursion", "explicit", "implicit"]),
-    st.lists(st.sampled_from(cli.OUTPUT_NAMES), min_size=1, max_size=4).map(", ".join),
+    st.lists(st.sampled_from(list(cli.OUTPUTS)), min_size=1, max_size=4).map(", ".join),
 )
 
 
