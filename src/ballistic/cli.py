@@ -140,18 +140,13 @@ def _read_sections(text: str):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name:
+            current = line[1:-1].strip() or None
+            if current is None:
                 errors.append((lineno, "empty section name"))
-                current = None
-                continue
-            if name in sections:
-                errors.append((lineno, f"duplicate section [{name}]"))
-                current = name
-                continue
-            sections[name] = {}
-            section_lines[name] = lineno
-            current = name
+            elif current in sections:
+                errors.append((lineno, f"duplicate section [{current}]"))
+            else:
+                sections[current], section_lines[current] = {}, lineno
             continue
         if "=" not in line:
             errors.append((lineno, f"expected 'key = value' or '[section]', got {line!r}"))
@@ -441,15 +436,9 @@ class RunResult:
 
 def _solver_config(scenario: Scenario) -> SolverConfig:
     req = scenario.solver
-    source = scenario.slit1 if req.source == 1 else scenario.slit2
-    return SolverConfig(
-        grid=scenario.grid,
-        source=source,
-        params=scenario.params,
-        mode=req.mode,
-        scheme=req.scheme,
-        norm_monitor_tolerance=req.norm_tolerance,
-    )
+    return SolverConfig(grid=scenario.grid, source=scenario.slit1 if req.source == 1 else scenario.slit2,
+                        params=scenario.params, mode=req.mode, scheme=req.scheme,
+                        norm_monitor_tolerance=req.norm_tolerance)
 
 
 def _trajectory_plan(scenario: Scenario) -> tuple[TrajectoryRequest, float]:
@@ -502,29 +491,43 @@ def run_scenario(scenario: Scenario) -> RunResult:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _write_csv(path, header: str, columns: list[np.ndarray], fmt) -> None:
-    """A header row, then the columns side by side, comma-separated."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt, ",", header=header, comments="")
+# Lines formatted per `%` call.  Over many runs in one process, this batch
+# kept RSS flat; 2**16 lines let it creep up and peak 5 MB higher.
+_CSV_LINES = 1 << 12
+
+
+def _write_csv(path, header: str, lead, values: np.ndarray, columns=None) -> None:
+    """A header row, then one line per cell of the 2-d `values`, row-major:
+    lead[i], columns[j] when given, and values[i, j], each as %.17g.  Lead
+    and column values are formatted once, into row templates such as
+    lead[i].join(parts) == b"t,x0,%.17g\nt,x1,%.17g\n...", not once per cell.
+    Bytes, not text: encoding each batch also let RSS creep up."""
+    lead = [b"%.17g" % v for v in np.asarray(lead).tolist()]
+    if len(lead) != len(values):
+        raise ValueError(f"{len(lead)} lead values for {len(values)} rows")
+    parts = [b"", *([b",%.17g,%%.17g\n" % v for v in columns.tolist()]
+                    if columns is not None else [b",%.17g\n"])]
+    step = _CSV_LINES // max(values.shape[1], 1) or 1
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        for r in range(0, len(values), step):
+            template = b"".join([cell.join(parts) for cell in lead[r:r + step]])
+            fh.write(template % tuple(values[r:r + step].ravel().tolist()))
 
 
 def write_field_csv(field: ScalarField, path) -> None:
     """Rows are t,x,value in time-major order, 17 significant digits."""
-    grid = field.grid
-    _write_csv(path, "t,x,value", [np.repeat(grid.times(), grid.nx),
-                                   np.tile(grid.x(), grid.nt + 1), field.values.ravel()], "%.17g")
+    _write_csv(path, "t,x,value", field.grid.times(), field.values, field.grid.x())
 
 
 def write_trajectories_csv(trajectories: TrajectorySet, path) -> None:
     """Rows are seed_id,t,x grouped by seed."""
-    n_seeds, n_times = len(trajectories.seeds), trajectories.times.size
-    _write_csv(path, "seed_id,t,x", [np.repeat(np.arange(n_seeds), n_times),
-                                     np.tile(trajectories.times, n_seeds),
-                                     trajectories.positions.T.ravel()], ["%d", "%.17g", "%.17g"])
+    _write_csv(path, "seed_id,t,x", np.arange(len(trajectories.seeds)),
+               trajectories.positions.T, trajectories.times)
 
 
 def write_norm_trace_csv(times: np.ndarray, masses: np.ndarray, path) -> None:
-    _write_csv(path, "t,mass", [times, masses], "%.17g")
+    _write_csv(path, "t,mass", times, np.reshape(masses, (-1, 1)))
 
 
 def _write_p5(path: Path, pixels: np.ndarray, comment: str) -> Path:
@@ -547,11 +550,8 @@ def write_pgm(field: ScalarField, path, gamma: float = 1.0,
     path = Path(path)
     values = field.values
     magnitudes = np.abs(values) if signed else np.clip(values, 0.0, None)
-    v_max = float(magnitudes.max())
-    if v_max > 0:
-        pixels = np.rint(255.0 * (magnitudes / v_max) ** gamma).astype(np.uint8)
-    else:
-        pixels = np.zeros(values.shape, dtype=np.uint8)
+    v_max = float(magnitudes.max())  # 0 only for an all-zero image, which then stays 0
+    pixels = np.rint(255.0 * (magnitudes / (v_max or 1.0)) ** gamma).astype(np.uint8)
     del magnitudes  # a field-sized float array; not kept while the sign pixels are built
     written = [_write_p5(path, pixels, f"{comment} max={v_max:.17g}")]
     if signed:
@@ -577,11 +577,9 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
-    written: list[Path] = []
 
-    config_path = out_dir / "scenario.txt"
-    config_path.write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
-    written.append(config_path)
+    written = [out_dir / "scenario.txt"]
+    written[0].write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
 
     for name, value in result.outputs.items():
         kind = OUTPUTS[name][1]
@@ -620,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="PGM intensity exponent (default: 1.0)")
     args = parser.parse_args(argv)
 
-    formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
+    formats = tuple(_split_select(args.format))
     try:
         _check_output_options(formats, args.gamma)
     except ParameterError as exc:

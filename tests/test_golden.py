@@ -1,6 +1,6 @@
 """Golden outputs: the exact scenario.txt of every preset, the sha256 of
-every file each preset writes at a reduced grid, and the exact error list
-for invalid fig4 overrides.
+every file each preset writes at a reduced grid and at full size, and the
+exact error list for invalid fig4 overrides.
 
 The digests in golden.json pin the bytes the CLI writes, so a refactor of
 the config or output layers is proved against recorded values rather than
@@ -38,9 +38,9 @@ INVALID_FIG4_OVERRIDES = (
 )
 
 
-def reduced_digests(name: str, out_dir: Path) -> dict[str, str]:
+def output_digests(name: str, out_dir: Path, overrides=()) -> dict[str, str]:
     argv = [name, "--out", str(out_dir), "--format", "csv,pgm"]
-    for item in REDUCED:
+    for item in overrides:
         argv += ["--override", item]
     assert main(argv) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -65,7 +65,13 @@ def test_preset_scenario_text(golden, name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_output_digests(golden, tmp_path, capsys, name):
-    assert reduced_digests(name, tmp_path) == golden["reduced_sha256"][name]
+    assert output_digests(name, tmp_path, REDUCED) == golden["reduced_sha256"][name]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_full_digests(golden, tmp_path, capsys, name):
+    # the README's own runs: every float the CSV writers format at full size
+    assert output_digests(name, tmp_path) == golden["full_sha256"][name]
 
 
 @pytest.mark.parametrize("overrides", INVALID_FIG4_OVERRIDES, ids=" ".join)
@@ -79,7 +85,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {
             "scenario_txt": {n: serialize_scenario(load_scenario(n)) for n in sorted(PRESETS)},
-            "reduced_sha256": {n: reduced_digests(n, Path(tmp) / n) for n in sorted(PRESETS)},
+            "reduced_sha256": {n: output_digests(n, Path(tmp) / n, REDUCED) for n in sorted(PRESETS)},
+            "full_sha256": {n: output_digests(n, Path(tmp) / "full" / n) for n in sorted(PRESETS)},
             "fig4_errors": {" ".join(o): config_errors(o) for o in INVALID_FIG4_OVERRIDES},
         }
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
