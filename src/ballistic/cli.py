@@ -530,11 +530,24 @@ def write_norm_trace_csv(times: np.ndarray, masses: np.ndarray, path) -> None:
     _write_csv(path, "t,mass", times, np.reshape(masses, (-1, 1)))
 
 
-def _write_p5(path: Path, pixels: np.ndarray, comment: str) -> Path:
-    """One binary 8-bit PGM image with a one-line comment."""
-    rows, cols = pixels.shape
-    path.write_bytes(f"P5\n# {comment}\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes())
+# cells per block while write_pgm builds pixels, so that its float
+# temporaries stay far below one field (512 KB each)
+_PGM_CELLS = 1 << 16
+
+
+def _write_p5(path: Path, shape: tuple[int, int], blocks, comment: str) -> Path:
+    """One binary 8-bit PGM image with a one-line comment; `blocks` yields
+    its uint8 pixel rows, top first."""
+    rows, cols = shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n# {comment}\n{cols} {rows}\n255\n".encode("ascii"))
+        for block in blocks:
+            fh.write(block.tobytes())
     return path
+
+
+def _sign_path(path: Path) -> Path:
+    return path.with_name(path.stem + "_sign" + path.suffix)
 
 
 def write_pgm(field: ScalarField, path, gamma: float = 1.0,
@@ -542,22 +555,28 @@ def write_pgm(field: ScalarField, path, gamma: float = 1.0,
     """Binary 8-bit PGM; row 0 is t = 0.  Pixel = round(255 (v/v_max)^gamma).
 
     signed=True renders magnitudes and writes a second *_sign.pgm companion
-    encoding sign as 0 (negative), 128 (zero) or 255 (positive).  Returns
-    the paths written.
+    encoding sign as 0 (negative), 128 (zero) or 255 (positive).  Pixels
+    are built and written in blocks of rows.  Returns the paths written.
     """
     if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     path = Path(path)
     values = field.values
-    magnitudes = np.abs(values) if signed else np.clip(values, 0.0, None)
-    v_max = float(magnitudes.max())  # 0 only for an all-zero image, which then stays 0
-    pixels = np.rint(255.0 * (magnitudes / (v_max or 1.0)) ** gamma).astype(np.uint8)
-    del magnitudes  # a field-sized float array; not kept while the sign pixels are built
-    written = [_write_p5(path, pixels, f"{comment} max={v_max:.17g}")]
+    step = max(_PGM_CELLS // values.shape[1], 1)
+    blocks = [values[r:r + step] for r in range(0, len(values), step)]  # views
+
+    def magnitudes(block):
+        return np.abs(block) if signed else np.clip(block, 0.0, None)
+
+    # 0 only for an all-zero image, which then stays 0
+    v_max = max(float(magnitudes(block).max()) for block in blocks)
+    pixels = (np.rint(255.0 * (magnitudes(block) / (v_max or 1.0)) ** gamma).astype(np.uint8)
+              for block in blocks)
+    written = [_write_p5(path, values.shape, pixels, f"{comment} max={v_max:.17g}")]
     if signed:
-        signs = np.where(values > 0, 255, np.where(values < 0, 0, 128)).astype(np.uint8)
-        written.append(_write_p5(path.with_name(path.stem + "_sign" + path.suffix),
-                                 signs, f"{comment} sign"))
+        signs = (np.where(block > 0, np.uint8(255),
+                          np.where(block < 0, np.uint8(0), np.uint8(128))) for block in blocks)
+        written.append(_write_p5(_sign_path(path), values.shape, signs, f"{comment} sign"))
     return written
 
 
@@ -571,7 +590,11 @@ def _check_output_options(formats: tuple[str, ...], gamma: float) -> None:
 
 
 def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1.0) -> list[Path]:
-    """Write every selected output under out_dir; returns the paths written."""
+    """Write every selected output under out_dir; returns the paths written.
+
+    On an OSError, removes every file listed so far, except the one the
+    error names (a path that could not be opened), and re-raises.  Each
+    path is listed just before it is opened, a *_sign.pgm with its image."""
     formats = tuple(formats)
     _check_output_options(formats, gamma)
     out_dir = Path(out_dir)
@@ -579,22 +602,29 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
     scenario = result.scenario
 
     written = [out_dir / "scenario.txt"]
-    written[0].write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
-
-    for name, value in result.outputs.items():
-        kind = OUTPUTS[name][1]
-        if kind == "table" or "csv" in formats:
-            path = out_dir / f"{name}.csv"
-            if isinstance(value, ScalarField):
-                write_field_csv(value, path)
-            elif isinstance(value, TrajectorySet):
-                write_trajectories_csv(value, path)
-            else:
-                write_norm_trace_csv(scenario.grid.times(), value, path)
-            written.append(path)
-        if kind != "table" and "pgm" in formats:
-            written += write_pgm(value, out_dir / f"{name}.pgm", gamma=gamma,
-                                 comment=f"{scenario.name} {name}", signed=kind == "signed")
+    try:
+        written[0].write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
+        for name, value in result.outputs.items():
+            kind = OUTPUTS[name][1]
+            if kind == "table" or "csv" in formats:
+                path = out_dir / f"{name}.csv"
+                written.append(path)
+                if isinstance(value, ScalarField):
+                    write_field_csv(value, path)
+                elif isinstance(value, TrajectorySet):
+                    write_trajectories_csv(value, path)
+                else:
+                    write_norm_trace_csv(scenario.grid.times(), value, path)
+            if kind != "table" and "pgm" in formats:
+                path = out_dir / f"{name}.pgm"
+                written += [path, _sign_path(path)] if kind == "signed" else [path]
+                write_pgm(value, path, gamma=gamma, comment=f"{scenario.name} {name}",
+                          signed=kind == "signed")
+    except OSError as exc:
+        for path in written:
+            if str(path) != str(exc.filename) and path.is_file():
+                path.unlink()
+        raise
     return written
 
 
@@ -658,9 +688,14 @@ def main(argv: list[str] | None = None) -> int:
     except NormDriftError as exc:
         status, message = 4, f"norm drift failure: {exc}"
     else:
-        for path in write_outputs(result, args.out, formats=formats, gamma=args.gamma):
-            print(f"wrote {path}")
-        return 0
+        try:
+            written = write_outputs(result, out, formats=formats, gamma=args.gamma)
+        except OSError as exc:  # write_outputs has removed what it wrote
+            status, message = 2, f"cannot write {str(exc.filename or out)!r}: {exc.strerror or exc}"
+        else:
+            for path in written:
+                print(f"wrote {path}")
+            return 0
     for path in created:  # a failed run leaves no directory it made
         path.rmdir()
     print(message, file=sys.stderr)

@@ -15,6 +15,10 @@ domain edges hold zero ghost cells, so mass leaks only through whatever
 density reaches the boundary; keeping a margin of 4 sigma(t_max) on each
 side of the packet keeps that leak below any practical tolerance.
 `solve` returns the density and the per-cell coefficient as `ScalarField`s.
+
+scipy is needed only by the implicit scheme, and is imported at its first
+step: `scipy.linalg` takes longer to import than the rest of the package,
+and closed-form, trajectory and explicit runs never use it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (
     Grid,
@@ -107,6 +110,8 @@ def implicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.nda
     diagonally dominant tridiagonal M-matrix for D_t >= 0, which makes the
     solve unconditionally stable and sign preserving.
     """
+    from scipy.linalg import solve_banded  # deferred: see the module docstring
+
     prev, diff = _as_row_pair(previous_row, diffusivity_row)
     n = prev.size
     w = dt / dx**2
@@ -244,9 +249,9 @@ def solve(config: SolverConfig) -> SolveResult:
                 f"(t = {(n + 1) * dt:.6g}, mass = {norms[n + 1]:.17g})"
             )
 
-    return SolveResult(
-        density=ScalarField(grid, density),
-        diffusivity=ScalarField(grid, diffusivity),
-        norm_trace=norms,
-        flagged_cells=flagged,
-    )
+    # ScalarField copies its values: drop each working array once it is
+    # copied, so that three fields, not four, are held at the peak
+    density = ScalarField(grid, density)
+    diffusivity = ScalarField(grid, diffusivity)
+    return SolveResult(density=density, diffusivity=diffusivity, norm_trace=norms,
+                       flagged_cells=flagged)

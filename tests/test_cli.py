@@ -708,3 +708,47 @@ def test_main_out_of_range_run_prints_one_line(tmp_path, capsys):
         assert main(argv) == 2
     assert capsys.readouterr().err == "scales out of range: field values must be finite\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_main_write_failure_removes_what_it_wrote(tmp_path, capsys):
+    # density and phase_difference are written before entangling_current.csv,
+    # which cannot be opened: the run exits 2 and leaves only what was there
+    out = tmp_path / "o"
+    blocker = out / "entangling_current.csv"
+    blocker.mkdir(parents=True)
+    argv = ["fig3a", "--override", "grid.nx=41", "--override", "grid.nt=10", "--out", str(out),
+            "--format", "csv,pgm"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and repr(str(blocker)) in captured.err
+    assert list(out.iterdir()) == [blocker]
+
+
+def test_main_write_failure_mid_file_removes_out(tmp_path, capsys, monkeypatch):
+    # a writer that fails after writing part of its file (a full disk):
+    # the partial file, the files before it and the directories go
+    def fill_disk(bundle, path):
+        Path(path).write_bytes(b"seed_id,t,x\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trajectories_csv", fill_disk)
+    out = tmp_path / "new" / "o"
+    argv = ["fig4", "--override", "grid.nx=41", "--override", "grid.nt=10", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cannot write {str(out)!r}: No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_write_failure_keeps_a_file_it_could_not_open(tmp_path, capsys, monkeypatch):
+    # an existing trajectories.csv that refuses to open keeps its content
+    def refuse(bundle, path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli, "write_trajectories_csv", refuse)
+    kept = tmp_path / "trajectories.csv"
+    kept.write_text("old run\n", encoding="utf-8")
+    argv = ["fig4", "--override", "grid.nx=41", "--override", "grid.nt=10", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cannot write {str(kept)!r}: Permission denied\n"
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text(encoding="utf-8") == "old run\n"

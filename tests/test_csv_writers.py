@@ -1,9 +1,12 @@
 """The three CSV writers, byte for byte, against np.savetxt over the
 column_stack of the file's columns: the formula the writers replaced, kept
 here as the oracle.  Loading the files back (test_cli.py) cannot see a
-changed digit, a dropped minus sign on -0 or a different exponent form."""
+changed digit, a dropped minus sign on -0 or a different exponent form.
+write_pgm, which builds its pixels in blocks of rows, is held to the
+whole-field formula it replaced the same way."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +14,13 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ballistic import Grid, ScalarField, Seed, TrajectorySet
+from ballistic import cli
 from ballistic.cli import (
     load_scenario,
     run_scenario,
     write_field_csv,
     write_norm_trace_csv,
+    write_pgm,
     write_trajectories_csv,
 )
 
@@ -113,6 +118,47 @@ def test_field_csv_memory_stays_below_field_size(tmp_path):
     tracemalloc.start()
     try:
         write_field_csv(field, tmp_path / "density.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < field.values.nbytes
+
+
+def whole_field_pgm_bytes(values, gamma, comment, signed) -> list[bytes]:
+    """The images write_pgm wrote from whole-field arrays."""
+    def p5(pixels, text):
+        rows, cols = pixels.shape
+        return f"P5\n# {text}\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes()
+
+    magnitudes = np.abs(values) if signed else np.clip(values, 0.0, None)
+    v_max = float(magnitudes.max())
+    pixels = np.rint(255.0 * (magnitudes / (v_max or 1.0)) ** gamma).astype(np.uint8)
+    images = [p5(pixels, f"{comment} max={v_max:.17g}")]
+    if signed:
+        signs = np.where(values > 0, 255, np.where(values < 0, 0, 128)).astype(np.uint8)
+        images.append(p5(signs, f"{comment} sign"))
+    return images
+
+
+@given(fields(), st.sampled_from([1.0, 0.5, 2.0, 0.3]), st.booleans(), st.integers(1, 60))
+@example(ScalarField(Grid(x_min=0.0, x_max=1.0, nx=3, t_max=1.0, nt=1),
+                     np.array([[-0.0, 0.0, -0.0], [-1.0, -0.0, -5e-324]])), 1.0, False, 1)
+def test_pgm_bytes(workdir, field, gamma, signed, cells):
+    # cells sets the block size: from one row per block to the whole field
+    with mock.patch.object(cli, "_PGM_CELLS", cells):
+        paths = write_pgm(field, workdir / "field.pgm", gamma, "fig test", signed)
+    assert [p.read_bytes() for p in paths] == whole_field_pgm_bytes(field.values, gamma,
+                                                                   "fig test", signed)
+
+
+def test_pgm_memory_stays_below_field_size(tmp_path):
+    # pixels and sign bytes in row blocks: the whole-field temporaries
+    # peaked at three times the field
+    result = run_scenario(load_scenario("fig3a", ["output.select=phase_difference"]))
+    field = result.outputs["phase_difference"]
+    tracemalloc.start()
+    try:
+        write_pgm(field, tmp_path / "phase.pgm", signed=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

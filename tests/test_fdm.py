@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,19 @@ def test_solve_result_fields_read_only(closed_run):
     assert not result.density.values.flags.writeable
     assert not result.diffusivity.values.flags.writeable
     assert result.flagged_cells == 0
+
+
+def test_solve_holds_three_fields_at_peak(unit_source):
+    # the two working arrays and their ScalarField copies: each working
+    # array goes once it is copied, so four fields are never held at once
+    config = SolverConfig(grid=small_grid(), source=unit_source)
+    tracemalloc.start()
+    try:
+        result = solve(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * result.density.values.nbytes
 
 
 def test_solve_vanishing_hbar_freezes_packet():
