@@ -20,8 +20,12 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -592,23 +596,30 @@ def _check_output_options(formats: tuple[str, ...], gamma: float) -> None:
 def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1.0) -> list[Path]:
     """Write every selected output under out_dir; returns the paths written.
 
-    On an OSError, removes every file listed so far, except the one the
-    error names (a path that could not be opened), and re-raises.  Each
-    path is listed just before it is opened, a *_sign.pgm with its image."""
+    Files are written into a staging directory inside out_dir and moved into
+    place, in write order, only once all are written and none would replace
+    a directory, so a failed write leaves out_dir's files as they were (a
+    rename that fails partway keeps those moved before it).  An OSError
+    names a path in out_dir, or out_dir itself, never the stage."""
     formats = tuple(formats)
     _check_output_options(formats, gamma)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = result.scenario
 
-    written = [out_dir / "scenario.txt"]
     try:
-        written[0].write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
+        stage = Path(tempfile.mkdtemp(prefix=".simulate-", dir=out_dir))
+    except OSError as exc:
+        exc.filename = str(out_dir)
+        raise
+    names = ["scenario.txt"]  # each file's name, in write order
+    try:
+        (stage / names[0]).write_text(serialize_scenario(scenario), encoding="utf-8", newline="\n")
         for name, value in result.outputs.items():
             kind = OUTPUTS[name][1]
             if kind == "table" or "csv" in formats:
-                path = out_dir / f"{name}.csv"
-                written.append(path)
+                names.append(f"{name}.csv")
+                path = stage / names[-1]
                 if isinstance(value, ScalarField):
                     write_field_csv(value, path)
                 elif isinstance(value, TrajectorySet):
@@ -616,16 +627,21 @@ def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1
                 else:
                     write_norm_trace_csv(scenario.grid.times(), value, path)
             if kind != "table" and "pgm" in formats:
-                path = out_dir / f"{name}.pgm"
-                written += [path, _sign_path(path)] if kind == "signed" else [path]
-                write_pgm(value, path, gamma=gamma, comment=f"{scenario.name} {name}",
-                          signed=kind == "signed")
+                names += [path.name for path in write_pgm(
+                    value, stage / f"{name}.pgm", gamma=gamma,
+                    comment=f"{scenario.name} {name}", signed=kind == "signed")]
+        for name in names:
+            if (out_dir / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
+        for name in names:
+            (stage / name).replace(out_dir / name)
     except OSError as exc:
-        for path in written:
-            if str(path) != str(exc.filename) and path.is_file():
-                path.unlink()
+        if exc.filename is not None and Path(exc.filename).parent == stage:
+            exc.filename = str(out_dir / Path(exc.filename).name)
         raise
-    return written
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return [out_dir / name for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +706,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         try:
             written = write_outputs(result, out, formats=formats, gamma=args.gamma)
-        except OSError as exc:  # write_outputs has removed what it wrote
+        except OSError as exc:  # write_outputs has left out's files as they were
             status, message = 2, f"cannot write {str(exc.filename or out)!r}: {exc.strerror or exc}"
         else:
             for path in written:
                 print(f"wrote {path}")
             return 0
-    for path in created:  # a failed run leaves no directory it made
-        path.rmdir()
+    if created:  # a failed run leaves no directory it made, nor what it put there
+        shutil.rmtree(created[-1])
     print(message, file=sys.stderr)
     return status

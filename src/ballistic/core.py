@@ -129,20 +129,21 @@ class Grid:
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar quantity sampled on a Grid, stored row-major by time:
-    values[j, i] belongs to (t_j, x_i).  The array is copied and frozen at
-    construction, and every value must be finite."""
+    values[j, i] belongs to (t_j, x_i).  It takes over and freezes the array
+    it is given (a copy only if not float64); every value must be finite."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float)
+        arr = np.asarray(self.values, dtype=float)
         expected = (self.grid.nt + 1, self.grid.nx)
         if arr.shape != expected:
             raise ParameterError(
                 f"field shape {arr.shape} does not match grid shape {expected}"
             )
-        if not np.all(np.isfinite(arr)):
+        # NaN propagates through min and max, so no field-sized mask is built
+        if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise ParameterError("field values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

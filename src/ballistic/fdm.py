@@ -197,7 +197,7 @@ class SolveResult:
     flagged_cells: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.norm_trace, dtype=float)
+        arr = np.asarray(self.norm_trace, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "norm_trace", arr)
 
@@ -249,9 +249,6 @@ def solve(config: SolverConfig) -> SolveResult:
                 f"(t = {(n + 1) * dt:.6g}, mass = {norms[n + 1]:.17g})"
             )
 
-    # ScalarField copies its values: drop each working array once it is
-    # copied, so that three fields, not four, are held at the peak
-    density = ScalarField(grid, density)
-    diffusivity = ScalarField(grid, diffusivity)
-    return SolveResult(density=density, diffusivity=diffusivity, norm_trace=norms,
+    return SolveResult(density=ScalarField(grid, density),
+                       diffusivity=ScalarField(grid, diffusivity), norm_trace=norms,
                        flagged_cells=flagged)

@@ -76,9 +76,9 @@ class DoubleSlitSystem:
     """Two Gaussian sources sharing one parameter set.
 
     blocked_slit zeroes that slit's density in every field expression,
-    reducing the system to single-slit behavior.  include_energy_term adds
-    the drift kinetic-energy difference to the relative phase; it is off by
-    default so that equal-energy configurations stay unaffected.
+    reducing the system to single-slit behavior.  include_energy_term, off
+    and set by no config key, adds -(m/hbar)(v2^2 - v1^2) t / 2 to phi12, so
+    `simulate` runs with unequal drift speeds omit it (see ROADMAP item 1).
     """
 
     slit1: SlitSource
@@ -164,5 +164,4 @@ def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarFiel
         fields = two_slit_fields(system, x, t[rows, None])
         for name, buffer in values.items():
             buffer[rows] = getattr(fields, name)
-    # ScalarField copies its values: drop each buffer once it is copied
-    return {name: ScalarField(grid, values.pop(name)) for name in _GRID_FIELDS}
+    return {name: ScalarField(grid, buffer) for name, buffer in values.items()}

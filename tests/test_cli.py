@@ -752,3 +752,43 @@ def test_main_write_failure_keeps_a_file_it_could_not_open(tmp_path, capsys, mon
     assert main(argv) == 2
     assert capsys.readouterr().err == f"cannot write {str(kept)!r}: Permission denied\n"
     assert list(tmp_path.iterdir()) == [kept] and kept.read_text(encoding="utf-8") == "old run\n"
+
+
+def test_main_failed_rerun_keeps_previous_files(tmp_path, capsys):
+    # a re-run that cannot place trajectories.csv (now a directory) exits 2
+    # and leaves every file of the previous run byte for byte
+    out = tmp_path / "o1"
+    argv = ["fig3a", "--override", "grid.nx=41", "--override", "grid.nt=20",
+            "--override", "trajectories.count=3", "--out", str(out)]
+    assert main(argv) == 0
+    blocker = out / "trajectories.csv"
+    blocker.unlink()
+    blocker.mkdir()
+    before = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    assert sorted(before) == ["density.csv", "entangling_current.csv",
+                              "phase_difference.csv", "scenario.txt"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"cannot write {str(blocker)!r}: Is a directory\n"
+    assert sorted(path.name for path in out.iterdir()) == sorted([*before, blocker.name])
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_main_failed_move_removes_the_directories_it_made(tmp_path, capsys, monkeypatch):
+    # a rename that fails after two files are in place: the new directories
+    # go with those files, and the error names the destination, not the stage
+    replace, moved = Path.replace, []
+
+    def fail_third(self, target):
+        if len(moved) == 2:
+            raise OSError(16, "Device or resource busy", str(self), str(target))
+        moved.append(target)
+        return replace(self, target)
+
+    monkeypatch.setattr(Path, "replace", fail_third)
+    out = tmp_path / "new" / "o"
+    argv = ["fig4", "--override", "grid.nx=41", "--override", "grid.nt=10", "--out", str(out)]
+    assert main(argv) == 2
+    target = out / "phase_difference.csv"
+    assert capsys.readouterr().err == f"cannot write {str(target)!r}: Device or resource busy\n"
+    assert list(tmp_path.iterdir()) == []

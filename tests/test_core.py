@@ -111,10 +111,14 @@ def test_scalar_field_shape_and_immutability():
     g = Grid(x_min=0.0, x_max=1.0, nx=5, t_max=1.0, nt=2)
     values = np.zeros((3, 5))
     f = ScalarField(g, values)
-    values[0, 0] = 7.0   # caller's copy must not leak in
-    assert f.values[0, 0] == 0.0
+    # a float64 array is taken over, not copied, and frozen for every name
+    assert np.shares_memory(f.values, values)
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        values[0, 0] = 7.0
+    for other in (np.zeros((3, 5), dtype=int).tolist(), np.zeros((3, 5), dtype=int)):
+        assert ScalarField(g, other).values.dtype == np.float64
     with pytest.raises(ParameterError):
         ScalarField(g, np.zeros((2, 5)))
 

@@ -274,9 +274,9 @@ def test_solve_result_fields_read_only(closed_run):
     assert result.flagged_cells == 0
 
 
-def test_solve_holds_three_fields_at_peak(unit_source):
-    # the two working arrays and their ScalarField copies: each working
-    # array goes once it is copied, so four fields are never held at once
+def test_solve_holds_two_fields_at_peak(unit_source):
+    # the density and the coefficient, each taken over by its ScalarField
+    # without a copy; the rest is a few rows and the norm trace
     config = SolverConfig(grid=small_grid(), source=unit_source)
     tracemalloc.start()
     try:
@@ -284,7 +284,7 @@ def test_solve_holds_three_fields_at_peak(unit_source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * result.density.values.nbytes
+    assert peak < 2.5 * result.density.values.nbytes
 
 
 def test_solve_vanishing_hbar_freezes_packet():

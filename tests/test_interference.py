@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,20 @@ def test_intensity_grid_density_nonnegative(params):
     sys = mirrored(params, shifter=sched)
     grid = Grid(x_min=-10.0, x_max=10.0, nx=201, t_max=12.0, nt=100)
     assert intensity_grid(sys, grid)["density"].values.min() >= 0.0
+
+
+def test_intensity_grid_holds_three_fields_at_peak(params):
+    # the three output fields, each taken over by its ScalarField without a
+    # copy, plus one block of kernel temporaries, which 2001 rows of 201
+    # cells keep small
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=201, t_max=12.0, nt=2000)
+    tracemalloc.start()
+    try:
+        bundle = intensity_grid(mirrored(params), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * bundle["density"].values.nbytes
 
 
 @given(k=st.integers(min_value=-3, max_value=3))
