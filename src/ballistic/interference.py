@@ -10,12 +10,18 @@ current.
 One kernel, `two_slit_fields`, computes sigma(t)^2, the offsets,
 densities, velocities and phi12 once per call and validates t once; for a
 scalar t its time-only factors are Python floats.  `field_velocity` divides
-its current by its density, and `intensity_grid` runs it on blocks of time
-rows.
+its current by its density.  `intensity_grid` repeats the kernel's
+operations in the same order, in place, on blocks of whole time rows that
+hold GRID_CELLS cells in all, shared out to one worker thread per CPU the
+process may use; its three fields are bit-identical to `two_slit_fields` on
+(x, t[:, None]), and it never builds the total current.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -36,7 +42,9 @@ __all__ = [
 # Densities at or below this floor yield an undefined field velocity (NaN).
 VELOCITY_FLOOR = 1e-300
 
-GRID_ROW_BLOCK = 32  # time rows per kernel call in intensity_grid
+# kernel cells in flight in intensity_grid, shared by its workers: each holds
+# four scratch arrays of its share, so peak memory does not grow with the CPUs
+GRID_CELLS = 2**15
 
 
 @dataclass(frozen=True)
@@ -154,14 +162,125 @@ def field_velocity(system: DoubleSlitSystem, x, t):
     return np.divide(terms.current, terms.density, out=out, where=terms.density > VELOCITY_FLOOR)
 
 
+def _grid_factors(system: DoubleSlitSystem, t):
+    """The factors of two_slit_fields that do not vary along x, computed as
+    it computes them, for a 1-d t: the drift slope of phi12 in x, and one row
+    per time of each slit's centre, exponent, norm, osmotic and spreading
+    factors, then the offset of phi12."""
+    p = system.params
+    diff, m_hbar = p.diffusivity, p.mass / p.hbar
+    rows = []
+    for index, slit in ((1, system.slit1), (2, system.slit2)):
+        u0 = diff / slit.sigma0
+        sig2 = slit.sigma0**2 + (u0 * t) ** 2
+        rate = u0**2 * t / sig2
+        rows += [slit.center + slit.drift * t, -0.5 / sig2,
+                 (2.0 * np.pi * sig2) ** -0.5 * (system.blocked_slit != index),
+                 diff / sig2, 0.5 * m_hbar * rate]
+    d1, d2 = system.slit1.drift, system.slit2.drift
+    offset = -m_hbar * (d2 * system.slit2.center - d1 * system.slit1.center)
+    if system.shifter is not None:
+        offset = offset - system.shifter.value_at(t)
+    if system.include_energy_term:
+        offset = offset - 0.5 * m_hbar * (d2**2 - d1**2) * t
+    rows.append(np.broadcast_to(offset, t.shape))
+    return m_hbar * (d2 - d1), np.stack(rows)[:, :, None]
+
+
+def _fill(buffer, factor):
+    """buffer with factor broadcast into it.  A ufunc that broadcasts an
+    operand allocates iterator buffers on every call; a copy does not."""
+    np.copyto(buffer, factor)
+    return buffer
+
+
+def _grid_block(x, slope, rows, density, phase, entangling, scratch) -> None:
+    """Fill one block of output rows with two_slit_fields' operations, in its
+    order, so that every bit agrees; rows holds the block's time factors.
+    The outputs double as scratch, with four arrays from scratch."""
+    # per slit: centre, exponent, norm, osmotic and spreading factors
+    c1, a1, n1, w1, s1, c2, a2, n2, w2, s2, offset = rows
+    xi, p1, p2, tmp = (buffer[:density.size].reshape(density.shape) for buffer in scratch)
+    _fill(density, x)  # x on every row, until the density is due
+    np.subtract(density, _fill(xi, c1), out=xi)
+    np.multiply(xi, _fill(entangling, w1), out=entangling)  # u1
+    np.multiply(xi, xi, out=p1)
+    np.multiply(p1, _fill(phase, s1), out=phase)  # spreading phase of slit 1
+    np.multiply(p1, _fill(tmp, a1), out=p1)
+    np.exp(p1, out=p1)
+    np.multiply(p1, _fill(tmp, n1), out=p1)
+    np.subtract(density, _fill(xi, c2), out=xi)
+    np.multiply(xi, _fill(tmp, w2), out=tmp)
+    np.subtract(entangling, tmp, out=entangling)  # u1 - u2
+    np.multiply(xi, xi, out=p2)
+    np.multiply(p2, _fill(tmp, s2), out=tmp)
+    np.subtract(tmp, phase, out=phase)
+    np.multiply(p2, _fill(tmp, a2), out=p2)
+    np.exp(p2, out=p2)
+    np.multiply(p2, _fill(tmp, n2), out=p2)
+    np.multiply(slope, density, out=xi)
+    np.add(xi, _fill(tmp, offset), out=xi)
+    np.add(phase, xi, out=phase)  # phi12
+    np.multiply(p1, p2, out=tmp)
+    np.sqrt(tmp, out=tmp)  # the cross amplitude sqrt(P1 P2)
+    np.multiply(tmp, entangling, out=entangling)
+    np.sin(phase, out=xi)
+    np.multiply(entangling, xi, out=entangling)
+    np.sqrt(p1, out=p1)
+    np.sqrt(p2, out=p2)
+    np.subtract(p1, p2, out=density)
+    np.square(density, out=density)
+    np.cos(phase, out=xi)
+    np.add(1.0, xi, out=xi)
+    np.multiply(2.0, p1, out=tmp)
+    np.multiply(tmp, p2, out=tmp)
+    np.multiply(tmp, xi, out=tmp)
+    np.add(density, tmp, out=density)
+
+
 def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarField]:
     """Density, relative phase and entangling current on a grid, keyed by
-    output name."""
+    output name, bit-identical to two_slit_fields on (x, t[:, None]).
+
+    Blocks of whole time rows go to one worker thread per CPU the process
+    may use, the caller's thread among them, each running in a copy of the
+    caller's context (and so under its numpy error state).  The first error
+    a worker meets is raised here once every thread has been joined.
+    """
     x, t = grid.x(), grid.times()
     values = {name: np.empty((t.size, x.size)) for name in _GRID_FIELDS}
-    for start in range(0, t.size, GRID_ROW_BLOCK):
-        rows = slice(start, start + GRID_ROW_BLOCK)
-        fields = two_slit_fields(system, x, t[rows, None])
-        for name, buffer in values.items():
-            buffer[rows] = getattr(fields, name)
+    density, phase, entangling = values.values()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # rows per block: a worker's share of the cells, at least one row, at most all
+    block = min(t.size, max(1, GRID_CELLS // cpus // x.size))
+    starts = range(0, t.size, block)
+    slope, rows = _grid_factors(system, t)
+    pending, lock, failures = iter(starts), threading.Lock(), []
+
+    def work() -> None:
+        try:
+            scratch = np.empty((4, block * x.size))
+            while True:
+                with lock:
+                    start = None if failures else next(pending, None)
+                if start is None:
+                    return
+                stop = start + block
+                _grid_block(x, slope, rows[:, start:stop], density[start:stop],
+                            phase[start:stop], entangling[start:stop], scratch)
+        except BaseException as exc:  # raised in the caller's thread, below
+            failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(cpus, len(starts)) - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return {name: ScalarField(grid, buffer) for name, buffer in values.items()}

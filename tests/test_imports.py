@@ -1,6 +1,7 @@
 """scipy is imported by the implicit solver's first step and by nothing
-else.  Each case runs in a fresh interpreter, because the tests themselves
-import scipy."""
+else, and concurrent.futures (about 11 ms to import) by nothing but
+scipy: the interference grid's workers are plain threads.  Each case runs in a fresh
+interpreter, because the tests themselves import both."""
 
 import hashlib
 import json
@@ -43,22 +44,25 @@ assert main(argv) == 0
 """
 
 
-def imports_scipy(code: str, *args: str) -> bool:
-    """Run code in a new interpreter; whether scipy was imported by the end."""
-    code += "\nimport sys; print('scipy' in sys.modules)"
+WATCHED = ("scipy", "concurrent.futures")
+
+
+def imported(code: str, *args: str) -> list[str]:
+    """Run code in a new interpreter; which WATCHED modules it imported."""
+    code += f"\nimport json, sys; print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))"
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize("code", ["import ballistic", TWO_SLIT_RUN, EXPLICIT_RUN, HELP],
                          ids=["import", "two_slit_run", "explicit_solve", "help"])
 def test_scipy_not_imported(code):
-    assert not imports_scipy(code)
+    assert imported(code) == []
 
 
 def test_implicit_run_imports_scipy_and_writes_golden_digests(tmp_path):
-    assert imports_scipy(IMPLICIT_RUN, str(tmp_path), *REDUCED)
+    assert "scipy" in imported(IMPLICIT_RUN, str(tmp_path), *REDUCED)  # which imports the other
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert digests == json.loads(GOLDEN.read_text(encoding="utf-8"))["reduced_sha256"]["fig1"]

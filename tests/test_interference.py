@@ -1,11 +1,15 @@
 import math
+import os
+import threading
 import tracemalloc
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
+from ballistic import interference
 from ballistic import (
     DoubleSlitSystem,
     Grid,
@@ -25,6 +29,11 @@ from ballistic import (
 # frozen reference: mirrored slits at -/+2, sigma01=1, sigma02=0.5, v=0,
 # x=0, t=2 gives 1 * (1*4/4.25 - 0.25*4/2) = 15/34, evaluated independently
 PHI_MIXED_WIDTHS = 0.4411764705882353
+
+
+def force_cpus(monkeypatch, count):
+    # intensity_grid starts one worker per CPU the process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def mirrored(params, shifter=None, **kw):
@@ -256,11 +265,14 @@ def test_intensity_grid_density_nonnegative(params):
     assert intensity_grid(sys, grid)["density"].values.min() >= 0.0
 
 
-def test_intensity_grid_holds_three_fields_at_peak(params):
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8])
+@pytest.mark.parametrize("nt, nx", [(2000, 201), (200, 2001)], ids=["tall", "wide"])
+def test_intensity_grid_holds_three_fields_at_peak(params, monkeypatch, nt, nx, cpus):
     # the three output fields, each taken over by its ScalarField without a
-    # copy, plus one block of kernel temporaries, which 2001 rows of 201
-    # cells keep small
-    grid = Grid(x_min=-10.0, x_max=10.0, nx=201, t_max=12.0, nt=2000)
+    # copy, plus GRID_CELLS cells of scratch in four arrays, shared by the
+    # workers whatever their number
+    force_cpus(monkeypatch, cpus)
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=nx, t_max=12.0, nt=nt)
     tracemalloc.start()
     try:
         bundle = intensity_grid(mirrored(params), grid)
@@ -268,6 +280,87 @@ def test_intensity_grid_holds_three_fields_at_peak(params):
     finally:
         tracemalloc.stop()
     assert peak < 3.6 * bundle["density"].values.nbytes
+
+
+def spy_on_blocks(monkeypatch, before_block):
+    """Run before_block() ahead of every block of intensity_grid.  The first
+    two blocks wait for each other, so that two workers run blocks."""
+    both_started = threading.Barrier(2, timeout=30)
+    block, started = interference._grid_block, []
+
+    def spied(*args):
+        started.append(None)
+        if len(started) <= 2:
+            both_started.wait()
+        before_block()
+        block(*args)
+
+    monkeypatch.setattr(interference, "_grid_block", spied)
+
+
+def test_intensity_grid_workers_share_the_callers_error_state(params, monkeypatch):
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(interference, "GRID_CELLS", 2 * 3 * 21)  # 3 rows a block
+    seen = []
+    spy_on_blocks(monkeypatch, lambda: seen.append((threading.get_ident(), np.geterr())))
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=21, t_max=12.0, nt=40)
+    threads = threading.active_count()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state = np.geterr()
+        intensity_grid(mirrored(params), grid)
+    assert threading.active_count() == threads
+    assert len(seen) == 14 and len({ident for ident, _ in seen}) == 2
+    assert all(errors == state for _, errors in seen)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_intensity_grid_overflow_raises_under_raise_state(params, monkeypatch, cpus):
+    force_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(interference, "GRID_CELLS", cpus * 3 * 21)
+    system = DoubleSlitSystem(slit1=SlitSource(center=-4.0, drift=1e300),
+                              slit2=SlitSource(center=4.0), params=params)
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=21, t_max=12.0, nt=40)
+    threads = threading.active_count()
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        intensity_grid(system, grid)
+    assert threading.active_count() == threads
+
+
+def test_intensity_grid_raises_a_helper_threads_error_after_joining(params, monkeypatch):
+    # only the thread the call started fails; the caller's thread finishes
+    # its blocks and then raises that error, with no thread left running
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(interference, "GRID_CELLS", 2 * 3 * 21)
+    caller = threading.get_ident()
+
+    def fail_off_the_caller():
+        if threading.get_ident() != caller:
+            raise LookupError("helper block")
+
+    spy_on_blocks(monkeypatch, fail_off_the_caller)
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=21, t_max=12.0, nt=40)
+    threads = threading.active_count()
+    with pytest.raises(LookupError, match="helper block"):
+        intensity_grid(mirrored(params), grid)
+    assert threading.active_count() == threads
+
+
+def test_intensity_grid_under_frequent_thread_switches(params, monkeypatch):
+    # more workers than cores and one row a block: a block that racing
+    # workers lost would leave its rows unwritten
+    force_cpus(monkeypatch, 8)
+    monkeypatch.setattr(interference, "GRID_CELLS", 8 * 21)
+    system = mirrored(params, shifter=PhaseShifterSchedule(total_shift=2.0, t_start=1.0, t_end=5.0))
+    grid = Grid(x_min=-10.0, x_max=10.0, nx=21, t_max=12.0, nt=400)
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        bundle = intensity_grid(system, grid)
+    finally:
+        setswitchinterval(interval)
+    pointwise = two_slit_fields(system, grid.x(), grid.times()[:, None])
+    for name, field in bundle.items():
+        assert field.values.tobytes() == getattr(pointwise, name).tobytes(), name
 
 
 @given(k=st.integers(min_value=-3, max_value=3))
@@ -375,19 +468,37 @@ def test_fields_match_single_slit_closed_forms(system, point):
     assert np.isnan(velocity[ref["envelope"] == 0.0]).all()
 
 
-def test_intensity_grid_matches_pointwise_fields(params):
+def test_intensity_grid_matches_pointwise_fields(params, monkeypatch):
     sched = PhaseShifterSchedule(total_shift=2.5, t_start=1.0, t_end=3.0)
     sys = DoubleSlitSystem(slit1=SlitSource(center=-3.0, sigma0=0.7, drift=0.2),
                            slit2=SlitSource(center=4.0, sigma0=1.1, drift=-0.4),
                            params=params, shifter=sched, include_energy_term=True)
     # more rows than one evaluation block, and a partial last block
+    monkeypatch.setattr(interference, "GRID_CELLS", 10 * 23)
     grid = Grid(x_min=-10.0, x_max=10.0, nx=23, t_max=7.0, nt=70)
     bundle = intensity_grid(sys, grid)
-    xs = grid.x()
-    for j, t in enumerate(grid.times()):
-        pointwise = two_slit_fields(sys, xs, t)
-        for name, field in bundle.items():
-            assert np.allclose(field.values[j], getattr(pointwise, name), rtol=1e-12, atol=1e-15)
+    # times as a column, as the grid holds them: for a scalar t the kernel's
+    # time factors are Python floats, whose pow may round differently
+    pointwise = two_slit_fields(sys, grid.x(), grid.times()[:, None])
+    for name, field in bundle.items():
+        for j, row in enumerate(getattr(pointwise, name)):
+            assert field.values[j].tobytes() == row.tobytes(), (name, j)
+
+
+@given(system=two_slit_systems(), nx=st.integers(min_value=3, max_value=9),
+       nt=st.integers(min_value=1, max_value=12), cells=st.integers(min_value=1, max_value=60),
+       cpus=st.sampled_from([1, 2]))
+def test_intensity_grid_is_bit_identical_to_the_kernel(system, nx, nt, cells, cpus):
+    # blocks of one row up to the whole grid, and a partial last block;
+    # bytes are compared, so that a zero of the other sign counts
+    grid = Grid(x_min=-12.0, x_max=12.0, nx=nx, t_max=10.0, nt=nt)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(interference, "GRID_CELLS", cells)
+        bundle = intensity_grid(system, grid)
+    pointwise = two_slit_fields(system, grid.x(), grid.times()[:, None])
+    for name, field in bundle.items():
+        assert field.values.tobytes() == getattr(pointwise, name).tobytes(), name
 
 
 # every two-slit quantity as a function of (system, x, t)
