@@ -7,14 +7,16 @@ term sqrt(P1 P2)(u1 - u2) sin(phi12) feeds the current even where the
 packet velocities cancel, and is exposed separately as the entangling
 current.
 
-One kernel, `two_slit_fields`, computes sigma(t)^2, the offsets,
-densities, velocities and phi12 once per call and validates t once; for a
-scalar t its time-only factors are Python floats.  `field_velocity` divides
-its current by its density.  `intensity_grid` repeats the kernel's
-operations in the same order, in place, on blocks of whole time rows that
-hold GRID_CELLS cells in all, shared out to one worker thread per CPU the
-process may use; its three fields are bit-identical to `two_slit_fields` on
-(x, t[:, None]), and it never builds the total current.
+One function, `_time_factors`, computes every factor that does not vary
+along x: sigma(t)^2 and what follows from it, the drifting centres, the
+norms, and the slope and offset of phi12.  Two elementwise laws use them.
+`two_slit_fields` allocates its four fields and validates t once; for a
+scalar t the factors are Python floats.  `field_velocity` divides its
+current by its density.  `intensity_grid` runs the same operations in the
+same order, in place, on blocks of whole time rows that hold GRID_CELLS
+cells in all, shared out to one worker thread per CPU the process may use;
+its three fields are bit-identical to `two_slit_fields` on (x, t[:, None]),
+and it never builds the total current.
 """
 
 from __future__ import annotations
@@ -84,9 +86,12 @@ class DoubleSlitSystem:
     """Two Gaussian sources sharing one parameter set.
 
     blocked_slit zeroes that slit's density in every field expression,
-    reducing the system to single-slit behavior.  include_energy_term, off
-    and set by no config key, adds -(m/hbar)(v2^2 - v1^2) t / 2 to phi12, so
-    `simulate` runs with unequal drift speeds omit it (see ROADMAP item 1).
+    reducing the system to single-slit behavior.  phi12 is not yet the exact
+    two-packet phase (see ROADMAP item 1).  It omits each packet's Gouy term
+    -arctan(t/tau)/2, tau = 2 m sigma0^2/hbar, which cancels only for equal
+    widths, so the unequal-width preset fig3b is off.  include_energy_term,
+    off and set by no config key, adds -(m/hbar)(v2^2 - v1^2) t / 2 to phi12,
+    so `simulate` runs with unequal drift speeds omit it.
     """
 
     slit1: SlitSource
@@ -107,6 +112,31 @@ _Fields = namedtuple("_Fields", "density phase_difference entangling_current cur
 _GRID_FIELDS = _Fields._fields[:3]  # the fields intensity_grid samples, by output name
 
 
+def _time_factors(system: DoubleSlitSystem, t):
+    """The factors of the two-slit fields that do not vary along x, Python
+    floats for a scalar t and arrays shaped like t otherwise: phi12's slope
+    in x and offset, and per slit its centre, exponent -1/(2 sigma^2), norm,
+    osmotic factor D/sigma^2, spreading-phase factor and spreading rate."""
+    p = system.params
+    diff, m_hbar = p.diffusivity, p.mass / p.hbar
+    slits = []
+    for index, slit in ((1, system.slit1), (2, system.slit2)):
+        u0 = diff / slit.sigma0
+        sig2 = slit.sigma0**2 + (u0 * t) ** 2
+        rate = u0**2 * t / sig2  # spreading velocity per unit offset
+        slits.append((slit.center + slit.drift * t, -0.5 / sig2,
+                      (2.0 * np.pi * sig2) ** -0.5 * (system.blocked_slit != index),
+                      diff / sig2, 0.5 * m_hbar * rate, rate))
+    # drift part m/hbar (v2 (x - c2) - v1 (x - c1)) as a slope in x plus an offset
+    d1, d2 = system.slit1.drift, system.slit2.drift
+    offset = -m_hbar * (d2 * system.slit2.center - d1 * system.slit1.center)
+    if system.shifter is not None:
+        offset = offset - system.shifter.value_at(t)
+    if system.include_energy_term:
+        offset = offset - 0.5 * m_hbar * (d2**2 - d1**2) * t
+    return m_hbar * (d2 - d1), offset, slits
+
+
 def two_slit_fields(system: DoubleSlitSystem, x, t) -> _Fields:
     """The two-slit fields at (x, t), broadcast over x and t, built from each
     slit's density P, total velocity v and osmotic velocity u:
@@ -117,31 +147,24 @@ def two_slit_fields(system: DoubleSlitSystem, x, t) -> _Fields:
         the only term of the current that survives where both packet
         contributions cancel;
     current: the probability current of the superposed field.
+
+    A scalar t and the same t inside an array agree to about 1e-14 of each
+    field's peak, not bit for bit: a scalar t's time factors are Python
+    floats, whose pow rounds differently from numpy's.
     """
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
     if (t < 0) if isinstance(t, float) else np.any(t < 0):
         raise ParameterError("time must be >= 0")
-    p = system.params
-    diff, m_hbar = p.diffusivity, p.mass / p.hbar
+    slope, offset, factors = _time_factors(system, t)
     slits = []
-    for index, slit in ((1, system.slit1), (2, system.slit2)):
-        u0 = diff / slit.sigma0
-        sig2 = slit.sigma0**2 + (u0 * t) ** 2
-        rate = u0**2 * t / sig2  # spreading velocity per unit offset
-        norm = (2.0 * np.pi * sig2) ** -0.5 * (system.blocked_slit != index)
-        xi = x - (slit.center + slit.drift * t)
+    for slit, (centre, exponent, norm, osmotic, spreading, rate) in zip(
+            (system.slit1, system.slit2), factors):
+        xi = x - centre
         xi2 = xi * xi
-        slits.append((np.exp(xi2 * (-0.5 / sig2)) * norm, slit.drift + xi * rate,
-                      xi * (diff / sig2), xi2 * (0.5 * m_hbar * rate)))
+        slits.append((np.exp(xi2 * exponent) * norm, slit.drift + xi * rate,
+                      xi * osmotic, xi2 * spreading))
     (p1, v1, u1, spread1), (p2, v2, u2, spread2) = slits
-    # drift part m/hbar (v2 (x - c2) - v1 (x - c1)) as a slope in x plus an offset
-    d1, d2 = system.slit1.drift, system.slit2.drift
-    offset = -m_hbar * (d2 * system.slit2.center - d1 * system.slit1.center)
-    if system.shifter is not None:
-        offset = offset - system.shifter.value_at(t)
-    if system.include_energy_term:
-        offset = offset - 0.5 * m_hbar * (d2**2 - d1**2) * t
-    phi = (spread2 - spread1) + (m_hbar * (d2 - d1) * x + offset)
+    phi = (spread2 - spread1) + (slope * x + offset)
     # the interference law as (sqrt P1 - sqrt P2)^2 + 2 sqrt(P1 P2)(1 + cos phi12) >= 0
     root1, root2, cos_phi = np.sqrt(p1), np.sqrt(p2), np.cos(phi)
     density = (root1 - root2) ** 2 + 2.0 * root1 * root2 * (1.0 + cos_phi)
@@ -162,31 +185,6 @@ def field_velocity(system: DoubleSlitSystem, x, t):
     return np.divide(terms.current, terms.density, out=out, where=terms.density > VELOCITY_FLOOR)
 
 
-def _grid_factors(system: DoubleSlitSystem, t):
-    """The factors of two_slit_fields that do not vary along x, computed as
-    it computes them, for a 1-d t: the drift slope of phi12 in x, and one row
-    per time of each slit's centre, exponent, norm, osmotic and spreading
-    factors, then the offset of phi12."""
-    p = system.params
-    diff, m_hbar = p.diffusivity, p.mass / p.hbar
-    rows = []
-    for index, slit in ((1, system.slit1), (2, system.slit2)):
-        u0 = diff / slit.sigma0
-        sig2 = slit.sigma0**2 + (u0 * t) ** 2
-        rate = u0**2 * t / sig2
-        rows += [slit.center + slit.drift * t, -0.5 / sig2,
-                 (2.0 * np.pi * sig2) ** -0.5 * (system.blocked_slit != index),
-                 diff / sig2, 0.5 * m_hbar * rate]
-    d1, d2 = system.slit1.drift, system.slit2.drift
-    offset = -m_hbar * (d2 * system.slit2.center - d1 * system.slit1.center)
-    if system.shifter is not None:
-        offset = offset - system.shifter.value_at(t)
-    if system.include_energy_term:
-        offset = offset - 0.5 * m_hbar * (d2**2 - d1**2) * t
-    rows.append(np.broadcast_to(offset, t.shape))
-    return m_hbar * (d2 - d1), np.stack(rows)[:, :, None]
-
-
 def _fill(buffer, factor):
     """buffer with factor broadcast into it.  A ufunc that broadcasts an
     operand allocates iterator buffers on every call; a copy does not."""
@@ -194,12 +192,12 @@ def _fill(buffer, factor):
     return buffer
 
 
-def _grid_block(x, slope, rows, density, phase, entangling, scratch) -> None:
+def _grid_block(x, slope, offset, slits, density, phase, entangling, scratch) -> None:
     """Fill one block of output rows with two_slit_fields' operations, in its
-    order, so that every bit agrees; rows holds the block's time factors.
+    order, so that every bit agrees, from the block's rows of _time_factors.
     The outputs double as scratch, with four arrays from scratch."""
     # per slit: centre, exponent, norm, osmotic and spreading factors
-    c1, a1, n1, w1, s1, c2, a2, n2, w2, s2, offset = rows
+    (c1, a1, n1, w1, s1, _), (c2, a2, n2, w2, s2, _) = slits
     xi, p1, p2, tmp = (buffer[:density.size].reshape(density.shape) for buffer in scratch)
     _fill(density, x)  # x on every row, until the density is due
     np.subtract(density, _fill(xi, c1), out=xi)
@@ -254,7 +252,7 @@ def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarFiel
     # rows per block: a worker's share of the cells, at least one row, at most all
     block = min(t.size, max(1, GRID_CELLS // cpus // x.size))
     starts = range(0, t.size, block)
-    slope, rows = _grid_factors(system, t)
+    slope, offset, slits = _time_factors(system, t[:, None])
     pending, lock, failures = iter(starts), threading.Lock(), []
 
     def work() -> None:
@@ -265,9 +263,10 @@ def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarFiel
                     start = None if failures else next(pending, None)
                 if start is None:
                     return
-                stop = start + block
-                _grid_block(x, slope, rows[:, start:stop], density[start:stop],
-                            phase[start:stop], entangling[start:stop], scratch)
+                rows = slice(start, start + block)
+                _grid_block(x, slope, offset[rows] if np.ndim(offset) else offset,
+                            [[factor[rows] for factor in slit] for slit in slits],
+                            density[rows], phase[rows], entangling[rows], scratch)
         except BaseException as exc:  # raised in the caller's thread, below
             failures.append(exc)
 

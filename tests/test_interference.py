@@ -468,6 +468,19 @@ def test_fields_match_single_slit_closed_forms(system, point):
     assert np.isnan(velocity[ref["envelope"] == 0.0]).all()
 
 
+@given(system=two_slit_systems(), t=st.floats(min_value=0.0, max_value=10.0),
+       x=st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=1, max_size=9))
+def test_scalar_time_matches_a_time_column_to_rounding(system, t, x):
+    # a scalar t's time factors are Python floats, whose pow rounds apart
+    # from numpy's, so the two agree to rounding and not bit for bit
+    x = np.array(x)
+    scalar = two_slit_fields(system, x, t)
+    column = two_slit_fields(system, x, np.array([t])[:, None])
+    for name, got in scalar._asdict().items():
+        want = getattr(column, name)[0]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
 def test_intensity_grid_matches_pointwise_fields(params, monkeypatch):
     sched = PhaseShifterSchedule(total_shift=2.5, t_start=1.0, t_end=3.0)
     sys = DoubleSlitSystem(slit1=SlitSource(center=-3.0, sigma0=0.7, drift=0.2),
