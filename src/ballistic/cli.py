@@ -319,7 +319,7 @@ def _plan_errors(scenario: Scenario, section_lines: dict[str, int]) -> list[tupl
                                               f"exceeds the limit of {_MAX_VALUES}"))
     if "trajectories" in scenario.outputs:
         request, dt = _trajectory_plan(scenario)
-        # integrate stores ceil(t_max / dt) + 1 rows, one column per seed
+        # both path routes sample ceil(t_max / dt) + 1 times, one column per seed
         size = (grid.t_max / dt + 2.0) * request.count * (1 if scenario.slit2 is None else 2)
         if size > _MAX_VALUES:
             errors.append((section_lines.get("trajectories", 0), f"trajectory table of about "
@@ -446,7 +446,7 @@ def _solver_config(scenario: Scenario) -> SolverConfig:
 
 
 def _trajectory_plan(scenario: Scenario) -> tuple[TrajectoryRequest, float]:
-    """The trajectory request and its integrator step (a quarter of the
+    """The trajectory request and its path sampling step (a quarter of the
     grid step unless set)."""
     req = scenario.trajectories or TrajectoryRequest()
     return req, req.dt if req.dt is not None else scenario.grid.dt / 4.0

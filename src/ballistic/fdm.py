@@ -3,7 +3,7 @@
 The density obeys dP/dt = d/dx ( D_t(x, t) dP/dx ) with a diffusion
 coefficient that grows linearly in time.  Two coefficient modes exist:
 
-* closed_form: D_t = u0^2 t, uniform in x, evaluated at the target step;
+* closed_form: D_t = u0^2 t (`closed_form_diffusivity`), uniform in x;
 * local_recursion: D_t accumulated per cell from -D ln P of the evolving
   density.  The accumulated value depends on the step count, so this mode
   is a literal transcription of the defining rule, not an equivalent route
@@ -37,7 +37,7 @@ from .core import (
     _require_finite,
     check_stability,
 )
-from .analytic import gaussian_density, sigma_at
+from .analytic import closed_form_diffusivity, gaussian_density, sigma_at
 
 __all__ = [
     "StabilityError",
@@ -223,19 +223,14 @@ def solve(config: SolverConfig) -> SolveResult:
 
     density[0] = gaussian_density(src, p, xs, 0.0)
     norms[0] = density[0].sum() * dx
-    rate = src.u0(p) ** 2  # dD_t/dt of the closed form
     if config.mode == "closed_form":
-        diffusivity[0] = 0.0
+        diffusivity[:] = closed_form_diffusivity(src, p, grid.times())[:, None]
     else:
         diffusivity[0], hits = diffusivity_recursion(density[0], None, p)
         flagged += hits
 
     for n in range(grid.nt):
-        if config.mode == "closed_form":
-            diffusivity[n + 1] = rate * ((n + 1) * dt)
-            used = diffusivity[n + 1]
-        else:
-            used = diffusivity[n]
+        used = diffusivity[n + 1] if config.mode == "closed_form" else diffusivity[n]
         density[n + 1] = step(density[n], used, dx, dt)
         if config.mode == "local_recursion":
             diffusivity[n + 1], hits = diffusivity_recursion(density[n + 1], diffusivity[n], p)

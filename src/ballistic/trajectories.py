@@ -1,8 +1,8 @@
-"""Bohm-type trajectories integrated with a fixed-step classical RK4 scheme
-through the analytic field of one packet or the emergent two-slit field.
+"""Bohm-type trajectories: the exact paths of one packet, and fixed-step
+classical RK4 paths through the emergent two-slit velocity field.
 
-Velocity callbacks may return NaN where the field is undefined (density
-nulls of a two-slit system); that stage then reuses the path's last
+Velocity callbacks of `integrate` may return NaN where the field is undefined
+(density nulls of a two-slit system); that stage then reuses the path's last
 defined step-start velocity (zero before any).  Leaving the optional spatial
 domain of `integrate` freezes a path and flags it rather than aborting the run.
 """
@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .core import ParameterError, PhysicalParams, SlitSource
-from .analytic import total_velocity
+from .analytic import trajectory_position
+# bound here only for bench/tracing.py, which wraps it; no run path calls it
+from .analytic import total_velocity  # noqa: F401
 from .interference import DoubleSlitSystem, field_velocity
 
 __all__ = [
@@ -41,14 +43,15 @@ class Seed:
 
 @dataclass(frozen=True)
 class TrajectorySet:
+    """Paths of a seed bundle; takes over and freezes the arrays it is given."""
+
     seeds: tuple[Seed, ...]
     times: np.ndarray
     positions: np.ndarray  # (len(times), len(seeds))
-    exited: np.ndarray     # bool per seed: frozen after leaving the domain
 
     def __post_init__(self) -> None:
-        for name in ("times", "positions", "exited"):
-            arr = np.array(getattr(self, name))
+        for name in ("times", "positions"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.positions.shape != (self.times.size, len(self.seeds)):
@@ -70,21 +73,24 @@ def seed_positions(source: SlitSource, count: int, span: float) -> np.ndarray:
     return np.linspace(-half, half, count)
 
 
-def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
-              domain: tuple[float, float] | None = None):
-    """RK4-integrate dx/dt = v(x, t) for a batch of starting points.
-
-    Returns (times, positions, exited).  dt is a target step; the actual
-    step is t_max / ceil(t_max / dt) so the horizon is hit exactly.
-    """
-    if not t_max > 0:
-        raise ParameterError(f"t_max must be > 0, got {t_max}")
+def _sample_times(t_max: float, dt: float) -> np.ndarray:
+    """Times 0, h, ..., t_max of every path: dt is a target step, and the
+    actual step h = t_max / ceil(t_max / dt) hits the horizon exactly."""
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ParameterError(f"t_max must be finite and > 0, got {t_max}")
     if not dt > 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    x = np.array(starts, dtype=float).ravel()
     steps = max(1, math.ceil(t_max / dt - 1e-12))
-    h = t_max / steps
-    times = np.arange(steps + 1) * h
+    return np.arange(steps + 1) * (t_max / steps)
+
+
+def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
+              domain: tuple[float, float] | None = None):
+    """RK4-integrate dx/dt = v(x, t) for a batch of starting points over
+    the times of `_sample_times`; returns (times, positions, exited)."""
+    times = _sample_times(t_max, dt)
+    steps, h = times.size - 1, float(times[1])
+    x = np.array(starts, dtype=float).ravel()
     positions = np.empty((steps + 1, x.size))
     positions[0] = x
     held = np.zeros(x.size)
@@ -109,25 +115,23 @@ def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
     return times, positions, ~alive
 
 
-def _bundle(velocity: VelocityField, sources: tuple[SlitSource, ...], count: int,
-            span: float, t_max: float, dt: float) -> TrajectorySet:
-    """Seed every source, slit 1 first, and integrate all seeds at once."""
-    offsets = [seed_positions(source, count, span) for source in sources]
-    starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
-    times, positions, exited = integrate(velocity, starts, t_max, dt)
-    seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
-    return TrajectorySet(seeds=seeds, times=times, positions=positions, exited=exited)
-
-
 def single_slit_trajectories(source: SlitSource, params: PhysicalParams,
                              count: int, span: float, t_max: float, dt: float) -> TrajectorySet:
-    return _bundle(lambda x, t: total_velocity(source, params, x, t), (source,),
-                   count, span, t_max, dt)
+    """Seed one slit and place each seed on its exact path at the times
+    `integrate` would step to."""
+    offsets, times = seed_positions(source, count, span), _sample_times(t_max, dt)
+    return TrajectorySet(
+        seeds=tuple(Seed(1, float(o)) for o in offsets), times=times,
+        positions=trajectory_position(source, params, offsets[None, :], times[:, None]))
 
 
 def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
                              t_max: float, dt: float) -> TrajectorySet:
-    """Seed both slits symmetrically and integrate through the emergent
-    two-slit velocity field."""
-    return _bundle(lambda x, t: field_velocity(system, x, t), (system.slit1, system.slit2),
-                   count, span, t_max, dt)
+    """Seed both slits symmetrically, slit 1 first, and integrate all seeds
+    at once through the emergent two-slit velocity field."""
+    sources = (system.slit1, system.slit2)
+    offsets = [seed_positions(source, count, span) for source in sources]
+    starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
+    times, positions, _ = integrate(lambda x, t: field_velocity(system, x, t), starts, t_max, dt)
+    seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
+    return TrajectorySet(seeds=seeds, times=times, positions=positions)

@@ -310,7 +310,7 @@ def test_trajectories_csv_layout(tmp_path):
     times = np.array([0.0, 0.5, 1.0])
     positions = np.array([[1.0, 2.0], [1.1, 2.2], [1.2, 2.4]])
     bundle = TrajectorySet(seeds=(Seed(1, -1.0), Seed(2, 1.0)), times=times,
-                           positions=positions, exited=np.zeros(2, dtype=bool))
+                           positions=positions)
     path = tmp_path / "paths.csv"
     write_trajectories_csv(bundle, path)
     lines = path.read_text().splitlines()
@@ -324,7 +324,7 @@ def test_trajectories_csv_layout(tmp_path):
 
 def test_trajectories_csv_empty_bundle(tmp_path):
     bundle = TrajectorySet(seeds=(), times=np.array([0.0]),
-                           positions=np.zeros((1, 0)), exited=np.zeros(0, dtype=bool))
+                           positions=np.zeros((1, 0)))
     path = tmp_path / "paths.csv"
     write_trajectories_csv(bundle, path)
     assert path.read_text() == "seed_id,t,x\n"
@@ -652,13 +652,24 @@ def test_benchmark_tracer_wraps_existing_bindings(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     tracing = importlib.import_module("tracing")
     original = cli.write_field_csv
-    tracer = tracing.Tracer()
+    wrapped = []
+
+    class Recorder(tracing.Tracer):
+        def wrap(self, module, attr, *args, **kwargs):
+            assert hasattr(module, attr), f"{module.__name__}.{attr} is gone"
+            wrapped.append((module, attr, getattr(module, attr)))
+            super().wrap(module, attr, *args, **kwargs)
+
+    tracer = Recorder()
     try:
         tracing.install(tracer)
-        assert cli.write_field_csv is not original
+        assert (cli, "write_field_csv", original) in wrapped
+        for module, attr, unwrapped in wrapped:
+            assert getattr(module, attr) is not unwrapped, f"{module.__name__}.{attr}"
     finally:
         tracer.close()
-    assert cli.write_field_csv is original
+    for module, attr, unwrapped in wrapped:
+        assert getattr(module, attr) is unwrapped, f"{module.__name__}.{attr} not restored"
 
 
 def test_main_stability_abort(tmp_path, capsys):

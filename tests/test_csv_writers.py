@@ -63,8 +63,7 @@ def bundles(draw):
     n_times, n_seeds = draw(st.integers(1, 6)), draw(st.integers(0, 5))
     return TrajectorySet(seeds=tuple(Seed(1, float(i)) for i in range(n_seeds)),
                          times=draw(finite_arrays(n_times)),
-                         positions=draw(finite_arrays((n_times, n_seeds))),
-                         exited=np.zeros(n_seeds, dtype=bool))
+                         positions=draw(finite_arrays((n_times, n_seeds))))
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +83,8 @@ def test_field_csv_bytes(workdir, field):
 
 @given(bundles())
 @example(TrajectorySet(seeds=(Seed(1, 0.0), Seed(2, 0.0)), times=np.array([-0.0]),
-                       positions=np.array([[5e-324, -1.7976931348623157e308]]),
-                       exited=np.zeros(2, dtype=bool)))
-@example(TrajectorySet(seeds=(), times=np.array([0.0, 0.5]), positions=np.zeros((2, 0)),
-                       exited=np.zeros(0, dtype=bool)))
+                       positions=np.array([[5e-324, -1.7976931348623157e308]])))
+@example(TrajectorySet(seeds=(), times=np.array([0.0, 0.5]), positions=np.zeros((2, 0))))
 def test_trajectories_csv_bytes(workdir, bundle):
     n_seeds, n_times = len(bundle.seeds), bundle.times.size
     columns = [np.repeat(np.arange(n_seeds), n_times), np.tile(bundle.times, n_seeds),

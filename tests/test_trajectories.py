@@ -56,71 +56,95 @@ def test_seed_positions_validation():
 
 def test_trajectory_set_rejects_shape_mismatch():
     with pytest.raises(ParameterError, match="shape"):
-        TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(3),
-                      positions=np.zeros((2, 1)), exited=np.zeros(1, dtype=bool))
+        TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(3), positions=np.zeros((2, 1)))
 
 
 def test_trajectory_set_rejects_nan():
     with pytest.raises(ParameterError, match="finite"):
         TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(2),
-                      positions=np.array([[0.0], [math.nan]]),
-                      exited=np.zeros(1, dtype=bool))
+                      positions=np.array([[0.0], [math.nan]]))
 
 
 def test_trajectory_set_is_read_only():
-    ts = TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(2),
-                       positions=np.zeros((2, 1)), exited=np.zeros(1, dtype=bool))
+    times, positions = np.zeros(2), np.zeros((2, 1))
+    ts = TrajectorySet(seeds=(Seed(1, 0.0),), times=times, positions=positions)
     assert not ts.positions.flags.writeable
     assert not ts.times.flags.writeable
-    assert not ts.exited.flags.writeable
+    # float64 arrays are taken over, not copied
+    assert np.shares_memory(ts.times, times)
+    assert np.shares_memory(ts.positions, positions)
 
 
 def test_trajectory_set_accepts_empty_bundle():
-    ts = TrajectorySet(seeds=(), times=np.array([0.0]),
-                       positions=np.zeros((1, 0)), exited=np.zeros(0, dtype=bool))
+    ts = TrajectorySet(seeds=(), times=np.array([0.0]), positions=np.zeros((1, 0)))
     assert ts.positions.shape == (1, 0)
 
 
 # --- integrator vs closed form ----------------------------------------------
 
+def one_packet(source, params):
+    return lambda x, t: total_velocity(source, params, x, t)
+
+
 def test_integrate_validation(params, unit_source):
-    v = lambda x, t: total_velocity(unit_source, params, x, t)
+    v = one_packet(unit_source, params)
     with pytest.raises(ParameterError):
         integrate(v, [0.0], 0.0, 0.01)
     with pytest.raises(ParameterError):
         integrate(v, [0.0], 1.0, -0.1)
+    with pytest.raises(ParameterError, match="finite"):
+        integrate(v, [0.0], math.inf, 0.1)
+
+
+def test_single_slit_rejects_infinite_horizon(params, unit_source):
+    with pytest.raises(ParameterError, match="finite"):
+        single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=math.inf, dt=0.1)
+
+
+@pytest.mark.parametrize("t_max, dt", [(8.0, 0.02), (1.0, 0.3), (6.0, 0.05)])
+def test_single_slit_samples_the_integrator_times(params, unit_source, t_max, dt):
+    bundle = single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=t_max, dt=dt)
+    times, _, _ = integrate(one_packet(unit_source, params), [0.0], t_max, dt)
+    assert bundle.times.tobytes() == times.tobytes()
+    assert bundle.times[-1] == t_max
+
+
+def test_single_slit_paths_are_the_closed_form(params):
+    src = SlitSource(center=1.5, sigma0=0.7, drift=-0.4)
+    bundle = single_slit_trajectories(src, params, count=5, span=2.0, t_max=3.0, dt=0.1)
+    offsets = np.array([s.offset for s in bundle.seeds])
+    exact = trajectory_position(src, params, offsets[None, :], bundle.times[:, None])
+    assert np.array_equal(bundle.positions, exact)
+    assert [s.slit for s in bundle.seeds] == [1] * 5
 
 
 def test_rk4_matches_algebraic_paths(params, unit_source):
     # frozen max error 2.1e-10 at dt = 0.02
-    bundle = single_slit_trajectories(unit_source, params, count=21, span=3.0,
-                                      t_max=8.0, dt=0.02)
     xi0 = np.linspace(-3.0, 3.0, 21)
-    exact = trajectory_position(unit_source, params, xi0[None, :], bundle.times[:, None])
-    assert bundle.times[-1] == 8.0
-    assert np.abs(bundle.positions - exact).max() < 1e-4
-    assert not bundle.exited.any()
+    times, pos, _ = integrate(one_packet(unit_source, params), xi0, 8.0, 0.02)
+    exact = trajectory_position(unit_source, params, xi0[None, :], times[:, None])
+    assert times[-1] == 8.0
+    assert np.abs(pos - exact).max() < 1e-4
 
 
 def test_center_seed_never_moves(params):
     src = SlitSource(center=2.5)
-    bundle = single_slit_trajectories(src, params, count=1, span=2.0, t_max=6.0, dt=0.05)
-    assert np.array_equal(bundle.positions, np.full((121, 1), 2.5))
+    _, pos, _ = integrate(one_packet(src, params), [2.5], 6.0, 0.05)
+    assert np.array_equal(pos, np.full((121, 1), 2.5))
 
 
 def test_drifting_center_seed_is_ballistic(params):
     src = SlitSource(center=0.0, drift=1.0)
-    bundle = single_slit_trajectories(src, params, count=1, span=2.0, t_max=4.0, dt=0.05)
-    assert bundle.positions[:, 0] == pytest.approx(bundle.times, rel=1e-12, abs=1e-14)
+    times, pos, _ = integrate(one_packet(src, params), [0.0], 4.0, 0.05)
+    assert pos[:, 0] == pytest.approx(times, rel=1e-12, abs=1e-14)
 
 
 def test_width_seed_passes_through_kink(params, unit_source):
     # the path seeded one width out sits at sqrt(2) sigma0 at the kink time
     tk = kink_time(unit_source, params)
-    bundle = single_slit_trajectories(unit_source, params, count=3, span=1.0,
-                                      t_max=tk, dt=0.02)
-    assert bundle.times[-1] == tk
-    assert abs(bundle.positions[-1, 2] - math.sqrt(2.0)) < 1e-3
+    times, pos, _ = integrate(one_packet(unit_source, params), [-1.0, 0.0, 1.0], tk, 0.02)
+    assert times[-1] == tk
+    assert abs(pos[-1, 2] - math.sqrt(2.0)) < 1e-3
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +154,7 @@ def test_integrated_paths_keep_order(a, b):
     assume(b - a > 1e-3)
     params = PhysicalParams()
     src = SlitSource(center=0.0, sigma0=0.8)
-    _, pos, _ = integrate(lambda x, t: total_velocity(src, params, x, t), [a, b], 4.0, 0.05)
+    _, pos, _ = integrate(one_packet(src, params), [a, b], 4.0, 0.05)
     assert np.all(pos[:, 1] - pos[:, 0] > 0.0)
 
 
@@ -176,7 +200,6 @@ def test_double_slit_paths_never_cross(two_slit_run):
     _, bundle = two_slit_run
     gaps = np.diff(bundle.positions, axis=1)
     assert np.all(gaps > 0.0)
-    assert not bundle.exited.any()
 
 
 def test_paths_kink_at_bright_fringe_boundaries(two_slit_run):
