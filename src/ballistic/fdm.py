@@ -14,15 +14,19 @@ Both explicit (forward Euler, conditionally stable) and implicit
 domain edges hold zero ghost cells, so mass leaks only through whatever
 density reaches the boundary; keeping a margin of 4 sigma(t_max) on each
 side of the packet keeps that leak below any practical tolerance.
-`solve` returns the density and the per-cell coefficient as `ScalarField`s.
+`solve` returns the density and the coefficient as `ScalarField`s.  A
+closed_form step takes D_t as one number, and its field is a read-only
+broadcast of that number across each row; local_recursion keeps one per cell.
 
-scipy is needed only by the implicit scheme, and is imported at its first
-step: `scipy.linalg` takes longer to import than the rest of the package,
-and closed-form, trajectory and explicit runs never use it.
+scipy is needed only by the implicit scheme's LAPACK `gtsv` call, and is
+imported at its first step: `scipy.linalg` takes longer to import than the
+rest of the package, and closed-form, trajectory and explicit runs never
+use it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,32 +74,35 @@ class NormDriftError(RuntimeError):
 
 
 def _as_row_pair(previous_row, diffusivity_row):
+    """The density row, and the coefficient as 0-d or broadcast to the row."""
     prev = np.asarray(previous_row, dtype=float)
     if prev.ndim != 1 or prev.size < 3:
         raise ParameterError("density row must be 1-d with at least 3 cells")
-    diff = np.broadcast_to(np.asarray(diffusivity_row, dtype=float), prev.shape)
-    return prev, diff
+    diff = np.asarray(diffusivity_row, dtype=float)
+    return prev, (np.broadcast_to(diff, prev.shape) if diff.ndim else diff)
 
 
 def explicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.ndarray:
     """One forward-Euler step with zero ghost cells beyond both edges.
 
-    Uniform coefficients use the plain second-difference stencil; spatially
-    varying ones use the flux-conservative form with arithmetic-mean
-    interface diffusivities.  Refuses to step when r = max(D) dt / dx^2
-    exceeds 1/2.
+    A scalar or uniform coefficient uses the plain second-difference
+    stencil; a spatially varying one uses the flux-conservative form with
+    arithmetic-mean interface diffusivities.  Refuses to step when
+    r = max(D) dt / dx^2 exceeds 1/2.
     """
     prev, diff = _as_row_pair(previous_row, diffusivity_row)
-    d_max = float(diff.max())
+    if diff.ndim and np.all(diff == diff[0]):
+        diff = diff[0]
+    d_max = float(diff.max() if diff.ndim else diff)
     r = d_max * dt / dx**2
     if r > _R_LIMIT:
         report = StabilityReport(max_allowed_dt=0.5 * dx**2 / d_max if d_max > 0 else np.inf,
                                  requested_dt=dt)
         raise StabilityError(f"explicit step refused: r = {r:.6g} > 1/2", report)
     padded = np.concatenate(([0.0], prev, [0.0]))
-    if np.all(diff == diff[0]):
+    if not diff.ndim:
         lap = padded[2:] - 2.0 * prev + padded[:-2]
-        return prev + (diff[0] * dt / dx**2) * lap
+        return prev + (diff * dt / dx**2) * lap
     dpad = np.concatenate(([diff[0]], diff, [diff[-1]]))
     d_half = 0.5 * (dpad[1:] + dpad[:-1])
     flux = d_half * np.diff(padded)
@@ -110,18 +117,25 @@ def implicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.nda
     diagonally dominant tridiagonal M-matrix for D_t >= 0, which makes the
     solve unconditionally stable and sign preserving.
     """
-    from scipy.linalg import solve_banded  # deferred: see the module docstring
+    from scipy.linalg.lapack import dgtsv  # deferred: see the module docstring
 
     prev, diff = _as_row_pair(previous_row, diffusivity_row)
-    n = prev.size
-    w = dt / dx**2
-    dpad = np.concatenate(([diff[0]], diff, [diff[-1]]))
-    d_half = 0.5 * (dpad[1:] + dpad[:-1])  # n + 1 interface values
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -w * d_half[1:-1]                  # superdiagonal
-    ab[1, :] = 1.0 + w * (d_half[:-1] + d_half[1:])  # diagonal
-    ab[2, :-1] = -w * d_half[1:-1]                 # subdiagonal
-    return solve_banded((1, 1), ab, prev)
+    n, w = prev.size, dt / dx**2
+    if diff.ndim:
+        dpad = np.concatenate(([diff[0]], diff, [diff[-1]]))
+        d_half = 0.5 * (dpad[1:] + dpad[:-1])  # n + 1 interface values
+        off, main = -w * d_half[1:-1], 1.0 + w * (d_half[:-1] + d_half[1:])
+        finite = np.isfinite(off).all() and np.isfinite(main).all()
+    else:  # every interface value is 0.5 (D + D) = D
+        off, main = np.full(n - 1, -w * diff), np.full(n, 1.0 + w * (diff + diff))
+        finite = math.isfinite(off[0]) and math.isfinite(main[0])
+    if not (finite and math.isfinite(prev.min()) and math.isfinite(prev.max())):
+        raise ParameterError("implicit step needs a finite row and coefficient")
+    *_, new, info = dgtsv(off, main, off.copy(), prev,
+                          overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed: gtsv info = {info}")
+    return new
 
 
 def diffusivity_recursion(density_row, previous_diffusivity,
@@ -192,7 +206,7 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveResult:
     density: ScalarField
-    diffusivity: ScalarField  # the coefficient each stored row used, per cell
+    diffusivity: ScalarField  # each row's coefficient; a broadcast view in closed_form
     norm_trace: np.ndarray
     flagged_cells: int
 
@@ -215,29 +229,30 @@ def solve(config: SolverConfig) -> SolveResult:
     xs = grid.x()
     dx, dt = grid.dx, grid.dt
     step = explicit_step if config.scheme == "explicit" else implicit_step
+    closed = config.mode == "closed_form"
 
     density = np.empty((grid.nt + 1, grid.nx))
-    diffusivity = np.empty_like(density)
     norms = np.empty(grid.nt + 1)
     flagged = 0
 
     density[0] = gaussian_density(src, p, xs, 0.0)
     norms[0] = density[0].sum() * dx
-    if config.mode == "closed_form":
-        diffusivity[:] = closed_form_diffusivity(src, p, grid.times())[:, None]
+    if closed:  # one number per row: the field is a read-only broadcast view
+        coeff = closed_form_diffusivity(src, p, grid.times())
+        diffusivity = np.broadcast_to(coeff[:, None], density.shape)
     else:
+        diffusivity = np.empty_like(density)
         diffusivity[0], hits = diffusivity_recursion(density[0], None, p)
         flagged += hits
 
     for n in range(grid.nt):
-        used = diffusivity[n + 1] if config.mode == "closed_form" else diffusivity[n]
-        density[n + 1] = step(density[n], used, dx, dt)
-        if config.mode == "local_recursion":
+        density[n + 1] = step(density[n], coeff[n + 1] if closed else diffusivity[n], dx, dt)
+        if not closed:
             diffusivity[n + 1], hits = diffusivity_recursion(density[n + 1], diffusivity[n], p)
             flagged += hits
         norms[n + 1] = density[n + 1].sum() * dx
         drift = abs(norms[n + 1] - 1.0)
-        if drift > config.norm_monitor_tolerance:
+        if not drift <= config.norm_monitor_tolerance:  # a NaN mass fails too
             raise NormDriftError(
                 f"mass drift {drift:.6g} exceeds tolerance "
                 f"{config.norm_monitor_tolerance:.6g} at step {n + 1} "

@@ -16,7 +16,7 @@ from ballistic import (
     TrajectorySet,
     gaussian_density,
 )
-from ballistic import cli
+from ballistic import cli, fdm
 from ballistic.cli import (
     PRESETS,
     ConfigError,
@@ -701,6 +701,32 @@ def test_main_norm_drift_abort(tmp_path, capsys):
     assert main([str(cfg), "--out", str(tmp_path / "a" / "b" / "o")]) == 4
     assert "norm drift failure" in capsys.readouterr().err
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("scheme,overrides", [
+    ("implicit", ["grid.nx=81", "grid.nt=40"]),
+    ("explicit", ["solver.scheme=explicit", "grid.nx=281", "grid.t_max=2", "grid.nt=40"]),
+])
+def test_main_nan_step_is_norm_drift(tmp_path, capsys, monkeypatch, scheme, overrides):
+    # a step that returns a NaN cell fails the mass monitor at that step
+    real, calls = getattr(fdm, f"{scheme}_step"), []
+
+    def poisoned(row, coefficient, dx, dt):
+        new = real(row, coefficient, dx, dt)
+        calls.append(None)
+        if len(calls) == 3:
+            new[new.size // 2] = np.nan
+        return new
+
+    monkeypatch.setattr(fdm, f"{scheme}_step", poisoned)
+    argv = ["fig1", "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("norm drift failure: mass drift nan")
+    assert "at step 3 " in err and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 def test_main_failed_run_keeps_existing_out(tmp_path, capsys):

@@ -20,6 +20,7 @@ from ballistic import (
     implicit_step,
     solve,
 )
+from ballistic.fdm import SCHEMES
 
 
 def small_grid(nt=250):
@@ -72,7 +73,69 @@ def test_scalar_and_array_diffusivity_agree(unit_source, params):
     row = gaussian_density(unit_source, params, xs, 0.0)
     a = explicit_step(row, 0.3, 0.1, 0.005)
     b = explicit_step(row, np.full(row.shape, 0.3), 0.1, 0.005)
-    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # array_equal would take -0.0 for 0.0
+
+
+rows = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=3, max_size=40)
+
+
+@given(rows, st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.0, max_value=0.125))
+def test_explicit_scalar_and_row_coefficients_agree_bytewise(cells, d, dt):
+    row = np.array(cells)
+    padded = np.concatenate(([0.0], row, [0.0]))
+    stencil = row + (d * dt / 0.5**2) * (padded[2:] - 2.0 * row + padded[:-2])
+    a = explicit_step(row, d, 0.5, dt)
+    b = explicit_step(row, np.full(row.size, d), 0.5, dt)
+    assert a.tobytes() == b.tobytes() == stencil.tobytes()
+
+
+def banded_oracle(row, diffusivity, dx, dt):
+    # the (1, 1)-banded build and solve that implicit_step made before it
+    # called LAPACK gtsv directly
+    from scipy.linalg import solve_banded
+
+    n = row.size
+    w = dt / dx**2
+    diff = np.broadcast_to(np.asarray(diffusivity, dtype=float), row.shape)
+    dpad = np.concatenate(([diff[0]], diff, [diff[-1]]))
+    d_half = 0.5 * (dpad[1:] + dpad[:-1])
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -w * d_half[1:-1]
+    ab[1, :] = 1.0 + w * (d_half[:-1] + d_half[1:])
+    ab[2, :-1] = -w * d_half[1:-1]
+    return solve_banded((1, 1), ab, row)
+
+
+@given(rows, st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=10.0))
+def test_implicit_scalar_coefficient_matches_banded_oracle(cells, d, dt):
+    row = np.array(cells)
+    expected = banded_oracle(row, d, 0.5, dt).tobytes()
+    assert implicit_step(row, d, 0.5, dt).tobytes() == expected
+    assert implicit_step(row, np.full(row.size, d), 0.5, dt).tobytes() == expected
+
+
+def test_implicit_step_matches_banded_oracle_on_seeded_draws(rng):
+    # hypothesis favours round values, on which more roundings agree; and
+    # w D = D dt / dx^2 stays near 1, where 1 + w D rounds in its last bits
+    for _ in range(200):
+        row = rng.uniform(-1.0, 1.0, rng.integers(3, 60))
+        d, dt = rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.1)
+        diff = rng.uniform(0.0, 2.0, row.size)
+        assert implicit_step(row, d, 0.5, dt).tobytes() == banded_oracle(row, d, 0.5, dt).tobytes()
+        assert implicit_step(row, diff, 0.5, dt).tobytes() == banded_oracle(
+            row, diff, 0.5, dt).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["row", "scalar", "coefficient row"])
+def test_implicit_step_rejects_non_finite_input(bad, where):
+    row, diff = np.full(5, 0.2), np.full(5, 0.3)
+    if where == "row":
+        row[2] = bad
+    elif where == "coefficient row":
+        diff[2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        implicit_step(row, bad if where == "scalar" else diff, 0.1, 0.01)
 
 
 def test_flux_and_stencil_paths_agree(unit_source, params):
@@ -274,16 +337,36 @@ def test_solve_result_fields_read_only(closed_run):
     assert result.flagged_cells == 0
 
 
-def test_solve_holds_two_fields_at_peak(unit_source):
-    # the density and the coefficient, each taken over by its ScalarField
-    # without a copy; the rest is a few rows and the norm trace
-    config = SolverConfig(grid=small_grid(), source=unit_source)
+def peak_solve_bytes(config):
+    # imported first, so that the implicit step's scipy import is not counted
+    import scipy.linalg.lapack  # noqa: F401
+
     tracemalloc.start()
     try:
         result = solve(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, result
+
+
+def test_closed_form_solve_holds_one_field_at_peak(unit_source):
+    # the density, taken over by its ScalarField without a copy; the
+    # coefficient field is a broadcast view of one value per row, and the
+    # rest is a few rows and the norm trace
+    for scheme in SCHEMES:
+        config = SolverConfig(grid=small_grid(), source=unit_source, scheme=scheme)
+        peak, result = peak_solve_bytes(config)
+        assert peak < 1.5 * result.density.values.nbytes
+        assert result.diffusivity.values.strides[1] == 0
+
+
+def test_recursion_solve_holds_two_fields_at_peak():
+    # local_recursion keeps its per-cell coefficient as a second field
+    grid = Grid(x_min=-15.0, x_max=15.0, nx=301, t_max=2.0, nt=200)
+    config = SolverConfig(grid=grid, source=SlitSource(center=0.0), mode="local_recursion",
+                          scheme="implicit", norm_monitor_tolerance=1.0)
+    peak, result = peak_solve_bytes(config)
     assert peak < 2.5 * result.density.values.nbytes
 
 
