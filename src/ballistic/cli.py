@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import shutil
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource
+from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource, _usable_cpus
 from .analytic import gaussian_density
 from .interference import DoubleSlitSystem, PhaseShifterSchedule, intensity_grid
 from .fdm import MODES, SCHEMES, NormDriftError, SolverConfig, StabilityError, solve
@@ -505,18 +506,94 @@ def _write_csv(path, header: str, lead, values: np.ndarray, columns=None) -> Non
     lead[i], columns[j] when given, and values[i, j], each as %.17g.  Lead
     and column values are formatted once, into row templates such as
     lead[i].join(parts) == b"t,x0,%.17g\nt,x1,%.17g\n...", not once per cell.
-    Bytes, not text: encoding each batch also let RSS creep up."""
+    Bytes, not text: encoding each batch also let RSS creep up.
+
+    Formatting holds the GIL, so the rows are cut at batch boundaries into
+    one contiguous range per usable CPU, and each range but the first is
+    formatted by a forked worker into an unnamed temporary file beside
+    `path`.  The caller formats the first range into `path`, then appends
+    each worker's file in row order with an in-kernel copy; the bytes are
+    the same whatever the number of ranges.  Every worker is reaped before
+    this returns or raises, and any OSError, a worker's included, names
+    `path`."""
     lead = [b"%.17g" % v for v in np.asarray(lead).tolist()]
     if len(lead) != len(values):
         raise ValueError(f"{len(lead)} lead values for {len(values)} rows")
     parts = [b"", *([b",%.17g,%%.17g\n" % v for v in columns.tolist()]
                     if columns is not None else [b",%.17g\n"])]
     step = _CSV_LINES // max(values.shape[1], 1) or 1
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        for r in range(0, len(values), step):
+
+    def write_rows(fh, start: int, stop: int) -> None:  # start and stop on batch boundaries
+        for r in range(start, stop, step):
             template = b"".join([cell.join(parts) for cell in lead[r:r + step]])
             fh.write(template % tuple(values[r:r + step].ravel().tolist()))
+
+    batches = -(-len(values) // step)
+    cpus = _usable_cpus() if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    ranges = max(1, min(cpus, batches))
+    bounds = [min(len(values), step * (batches * i // ranges)) for i in range(ranges + 1)]
+    workers = []  # (pid, temporary file) of each worker not yet reaped, in row order
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
+            try:
+                for start, stop in zip(bounds[1:-1], bounds[2:]):
+                    part = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+                    try:
+                        pid = os.fork()
+                    except OSError:  # no process to spare: the caller formats the rest
+                        part.close()
+                        break
+                    if pid == 0:
+                        _run_worker(write_rows, part, start, stop)
+                    workers.append((pid, part))
+                tail = bounds[len(workers) + 1]  # the first row no worker took
+                write_rows(fh, 0, bounds[1])
+                while workers:
+                    pid, part = workers[0]
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    del workers[0]
+                    with part:
+                        if status:
+                            raise (OSError(status, os.strerror(status)) if 0 < status < 255 else
+                                   OSError(errno.EIO, f"a CSV worker ended with status {status}"))
+                        _append(fh, part)
+                write_rows(fh, tail, len(values))
+            finally:
+                for pid, part in workers:  # only after an error, when their rows are moot
+                    os.waitpid(pid, 0)
+                    part.close()
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
+
+
+def _run_worker(write_rows, part, start: int, stop: int):
+    """In a forked worker: format rows [start, stop) into `part`, then end
+    the process with status 0, an OSError's errno, or 255 for any other
+    error.  It never returns into the caller's frames, and os._exit flushes
+    no stdio buffer the parent still holds."""
+    status = 255
+    try:
+        gc.disable()  # a collection could run a finalizer that writes the parent's data
+        write_rows(part, start, stop)
+        part.flush()
+        status = 0
+    except OSError as exc:
+        status = exc.errno if 0 < (exc.errno or 0) < 255 else 255
+    finally:
+        os._exit(status)
+
+
+def _append(fh, part) -> None:
+    """Copy all of the file `part` onto the end of `fh`, in the kernel."""
+    fh.flush()
+    offset, size = 0, os.fstat(part.fileno()).st_size
+    while offset < size:
+        sent = os.sendfile(fh.fileno(), part.fileno(), offset, size - offset)
+        if not sent:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        offset += sent
 
 
 def write_field_csv(field: ScalarField, path) -> None:
@@ -534,8 +611,8 @@ def write_norm_trace_csv(times: np.ndarray, masses: np.ndarray, path) -> None:
     _write_csv(path, "t,mass", times, np.reshape(masses, (-1, 1)))
 
 
-# cells per block while write_pgm builds pixels, so that its float
-# temporaries stay far below one field (512 KB each)
+# cells per block while write_pgm builds pixels, so that its one float
+# scratch array stays far below one field (512 KB)
 _PGM_CELLS = 1 << 16
 
 
@@ -568,19 +645,30 @@ def write_pgm(field: ScalarField, path, gamma: float = 1.0,
     values = field.values
     step = max(_PGM_CELLS // values.shape[1], 1)
     blocks = [values[r:r + step] for r in range(0, len(values), step)]  # views
+    # the largest magnitude; 0 only for an all-zero image, which then stays 0
+    v_max = max(0.0, float(values.max()), -float(values.min()) if signed else 0.0)
+    scratch = np.empty(step * values.shape[1])
 
-    def magnitudes(block):
-        return np.abs(block) if signed else np.clip(block, 0.0, None)
+    def pixels(block):
+        level = scratch[:block.size].reshape(block.shape)
+        if signed:
+            np.abs(block, out=level)
+        else:
+            np.maximum(block, 0.0, out=level)
+        level /= v_max or 1.0
+        if gamma != 1.0:
+            level **= gamma
+        level *= 255.0
+        return np.rint(level, out=level).astype(np.uint8)
 
-    # 0 only for an all-zero image, which then stays 0
-    v_max = max(float(magnitudes(block).max()) for block in blocks)
-    pixels = (np.rint(255.0 * (magnitudes(block) / (v_max or 1.0)) ** gamma).astype(np.uint8)
-              for block in blocks)
-    written = [_write_p5(path, values.shape, pixels, f"{comment} max={v_max:.17g}")]
+    def signs(block):  # 0 (negative), 128 (zero) or 255 (positive)
+        sign = (block > 0).view(np.uint8) * np.uint8(127) + np.uint8(128)
+        sign -= (block < 0).view(np.uint8) << 7
+        return sign
+
+    written = [_write_p5(path, values.shape, map(pixels, blocks), f"{comment} max={v_max:.17g}")]
     if signed:
-        signs = (np.where(block > 0, np.uint8(255),
-                          np.where(block < 0, np.uint8(0), np.uint8(128))) for block in blocks)
-        written.append(_write_p5(_sign_path(path), values.shape, signs, f"{comment} sign"))
+        written.append(_write_p5(_sign_path(path), values.shape, map(signs, blocks), f"{comment} sign"))
     return written
 
 

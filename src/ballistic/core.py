@@ -1,5 +1,5 @@
-"""Physical parameters, lattice geometry, field storage and the explicit
-stability bound shared by the rest of the package.
+"""Physical parameters, lattice geometry, field storage, the explicit
+stability bound and the usable CPU count shared by the rest of the package.
 
 Everything defined here is an immutable value object: instances can be
 shared freely between threads or processes without copying.
@@ -8,6 +8,7 @@ shared freely between threads or processes without copying.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,3 +180,11 @@ def check_stability(grid: Grid, source: SlitSource, params: PhysicalParams) -> S
     d_end = params.diffusivity**2 * grid.t_max / source.sigma0**2
     max_dt = grid.dx**2 / (2.0 * d_end)
     return StabilityReport(max_allowed_dt=max_dt, requested_dt=grid.dt)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

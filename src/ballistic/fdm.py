@@ -87,13 +87,16 @@ def explicit_step(previous_row, diffusivity_row, dx: float, dt: float) -> np.nda
 
     A scalar or uniform coefficient uses the plain second-difference
     stencil; a spatially varying one uses the flux-conservative form with
-    arithmetic-mean interface diffusivities.  Refuses to step when
-    r = max(D) dt / dx^2 exceeds 1/2.
+    arithmetic-mean interface diffusivities.  Refuses a non-finite
+    coefficient, and refuses to step when r = max(D) dt / dx^2 exceeds 1/2.
     """
     prev, diff = _as_row_pair(previous_row, diffusivity_row)
     if diff.ndim and np.all(diff == diff[0]):
         diff = diff[0]
     d_max = float(diff.max() if diff.ndim else diff)
+    # max passes NaN and +inf on; a -inf in a varying row needs the min
+    if not (math.isfinite(d_max) and (not diff.ndim or math.isfinite(diff.min()))):
+        raise ParameterError("explicit step needs a finite coefficient")
     r = d_max * dt / dx**2
     if r > _R_LIMIT:
         report = StabilityReport(max_allowed_dt=0.5 * dx**2 / d_max if d_max > 0 else np.inf,

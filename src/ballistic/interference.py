@@ -22,14 +22,14 @@ and it never builds the total current.
 from __future__ import annotations
 
 import contextvars
-import os
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource, _require_finite
+from .core import (Grid, ParameterError, PhysicalParams, ScalarField, SlitSource,
+                   _require_finite, _usable_cpus)
 # bound here only for bench/tracing.py, which wraps it; the kernel inlines sigma(t)^2
 from .analytic import sigma_at  # noqa: F401
 
@@ -248,7 +248,7 @@ def intensity_grid(system: DoubleSlitSystem, grid: Grid) -> dict[str, ScalarFiel
     x, t = grid.x(), grid.times()
     values = {name: np.empty((t.size, x.size)) for name in _GRID_FIELDS}
     density, phase, entangling = values.values()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = _usable_cpus()
     # rows per block: a worker's share of the cells, at least one row, at most all
     block = min(t.size, max(1, GRID_CELLS // cpus // x.size))
     starts = range(0, t.size, block)

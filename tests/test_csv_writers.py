@@ -2,10 +2,19 @@
 column_stack of the file's columns: the formula the writers replaced, kept
 here as the oracle.  Loading the files back (test_cli.py) cannot see a
 changed digit, a dropped minus sign on -0 or a different exponent form.
-write_pgm, which builds its pixels in blocks of rows, is held to the
-whole-field formula it replaced the same way."""
+The writers format their rows in one process per usable CPU; with more
+than one, they are held to their own one-process bytes, and every worker
+process must be reaped and every temporary file gone, whether the write
+succeeds or fails.  write_pgm, which builds its pixels in blocks of rows,
+is held to the whole-field formula it replaced the same way."""
 
+import errno
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +26,7 @@ from ballistic import Grid, ScalarField, Seed, TrajectorySet
 from ballistic import cli
 from ballistic.cli import (
     load_scenario,
+    main,
     run_scenario,
     write_field_csv,
     write_norm_trace_csv,
@@ -119,6 +129,191 @@ def test_field_csv_memory_stays_below_field_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < field.values.nbytes
+
+
+def force_cpus(monkeypatch, count):
+    # the writers fork one worker per CPU the process may use, less one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_workers_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def writes():
+    """(writer, arguments before the path) for each of the three writers."""
+    traces = st.integers(1, 20).flatmap(lambda n: st.tuples(finite_arrays(n), finite_arrays(n)))
+    return st.one_of(fields().map(lambda field: (write_field_csv, (field,))),
+                     bundles().map(lambda bundle: (write_trajectories_csv, (bundle,))),
+                     traces.map(lambda trace: (write_norm_trace_csv, trace)))
+
+
+@pytest.fixture(scope="module")
+def splitdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("split")
+
+
+@given(writes(), st.sampled_from([2, 3, 5]), st.integers(1, 20))
+def test_split_csv_bytes_match_one_part(splitdir, write, cpus, lines):
+    # lines sets the batch, from one row to every row of these small
+    # tables: from more batches than CPUs, with a short last range, to one
+    writer, args = write
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cli, "_CSV_LINES", lines)
+        force_cpus(monkeypatch, 1)
+        expected = written_bytes(writer, *args, path=splitdir / "one.csv")
+        force_cpus(monkeypatch, cpus)
+        assert written_bytes(writer, *args, path=splitdir / "split.csv") == expected
+    assert_no_workers_left()
+    assert sorted(os.listdir(splitdir)) == ["one.csv", "split.csv"]
+
+
+def test_split_csv_without_a_process_to_spare(tmp_path, monkeypatch):
+    # a fork that fails leaves its rows, and every later range, to the caller
+    times, masses = np.arange(40.0), np.linspace(-1.0, 1.0, 40)
+    monkeypatch.setattr(cli, "_CSV_LINES", 3)
+    force_cpus(monkeypatch, 1)
+    expected = written_bytes(write_norm_trace_csv, times, masses, path=tmp_path / "one.csv")
+    forks = iter([os.fork, None])
+
+    def fork_once():
+        fork = next(forks)
+        if fork is None:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    force_cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert written_bytes(write_norm_trace_csv, times, masses, path=tmp_path / "split.csv") == expected
+    assert_no_workers_left()
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "split.csv"]
+
+
+REAL_TEMPORARY_FILE = tempfile.TemporaryFile
+
+
+class FailingPart:
+    """A temporary file whose every write raises `error`, as a worker
+    meeting a full disk does."""
+
+    error: BaseException = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __init__(self, *args, **kwargs):
+        self.file = REAL_TEMPORARY_FILE(*args, **kwargs)
+
+    def write(self, data):
+        raise self.error
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    (MemoryError(), errno.EIO, "a CSV worker ended with status 255"),
+])
+def test_worker_failure_raises_naming_the_target(tmp_path, monkeypatch, error, code, message):
+    monkeypatch.setattr(FailingPart, "error", error)
+    monkeypatch.setattr(tempfile, "TemporaryFile", FailingPart)
+    monkeypatch.setattr(cli, "_CSV_LINES", 2)
+    force_cpus(monkeypatch, 3)
+    target = tmp_path / "mass.csv"
+    with pytest.raises(OSError) as raised:
+        write_norm_trace_csv(np.arange(10.0), np.ones(10), target)
+    assert (raised.value.errno, raised.value.filename) == (code, str(target))
+    assert raised.value.strerror == message
+    assert_no_workers_left()
+    assert os.listdir(tmp_path) == ["mass.csv"]
+
+
+def test_main_worker_failure_exits_2_naming_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tempfile, "TemporaryFile", FailingPart)
+    force_cpus(monkeypatch, 2)
+    out = tmp_path / "o"
+    argv = ["fig3a", "--override", "grid.nx=201", "--override", "grid.nt=40",
+            "--override", "output.select=density", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"cannot write {str(out / 'density.csv')!r}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert_no_workers_left()
+    assert os.listdir(tmp_path) == []
+
+
+class FailingTarget:
+    """The target file of a write whose caller meets a full disk on its
+    own range, after the header."""
+
+    def __init__(self, path, mode):
+        self.file, self.writes = open(path, mode), 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+
+def test_caller_failure_still_reaps_its_workers(tmp_path, monkeypatch):
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(cli, "open", FailingTarget, raising=False)
+    monkeypatch.setattr(cli, "_CSV_LINES", 2)
+    force_cpus(monkeypatch, 3)
+    target = tmp_path / "mass.csv"
+    with pytest.raises(OSError) as raised:
+        write_norm_trace_csv(np.arange(10.0), np.ones(10), target)
+    assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(target))
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert_no_workers_left()
+    assert os.listdir(tmp_path) == ["mass.csv"]
+
+
+def test_workers_leave_buffered_stdout_to_the_caller(tmp_path):
+    # stdout to a pipe is block-buffered, so "before" is still in the
+    # buffer that each forked worker inherits: it must be written once
+    script = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from ballistic import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+        "cli._CSV_LINES = 4\n"
+        "print('before')\n"
+        "cli.write_norm_trace_csv(np.arange(40.0), np.ones(40), sys.argv[1])\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "mass.csv")],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "before\n"
+    assert (tmp_path / "mass.csv").read_bytes() == written_bytes(
+        write_norm_trace_csv, np.arange(40.0), np.ones(40), path=tmp_path / "one.csv")
 
 
 def whole_field_pgm_bytes(values, gamma, comment, signed) -> list[bytes]:

@@ -138,6 +138,17 @@ def test_implicit_step_rejects_non_finite_input(bad, where):
         implicit_step(row, bad if where == "scalar" else diff, 0.1, 0.01)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["scalar", "coefficient row"])
+def test_explicit_step_rejects_non_finite_coefficient(bad, where):
+    # a NaN density row is left to solve's mass monitor, which sees it
+    # in the next step's mass without a scan of its own per step
+    diff = np.full(5, 0.3)
+    diff[2] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        explicit_step(np.full(5, 0.2), bad if where == "scalar" else diff, 0.1, 0.01)
+
+
 def test_flux_and_stencil_paths_agree(unit_source, params):
     # a one-ulp bump in a single cell forces the flux-conservative branch
     xs = np.linspace(-6.0, 6.0, 121)
