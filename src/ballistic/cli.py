@@ -83,21 +83,23 @@ class ConfigError(ValueError):
         super().__init__("\n".join(f"line {ln}: {msg}" for ln, msg in self.errors))
 
 
+# path steps per grid step, so that every fourth path sample is a grid time
+_PATH_STEPS = 4
+
+
 @dataclass(frozen=True)
 class TrajectoryRequest:
+    """Seeds per slit and their spread in slit widths; every path is
+    sampled at _PATH_STEPS * grid.nt + 1 times."""
+
     count: int = 21
     span: float = 3.0
-    dt: float | None = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ParameterError(f"trajectory count must be >= 1, got {self.count}")
         if not 0 < self.span < math.inf:
             raise ParameterError(f"trajectory span must be finite and > 0, got {self.span}")
-        if self.dt is not None and not math.isfinite(self.dt):
-            raise ParameterError(f"trajectory dt must be finite, got {self.dt}")
-        if self.dt is not None and not self.dt > 0:
-            raise ParameterError(f"trajectory dt must be > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,7 @@ _SCHEMA = {
                                        "t_end": (float, _REQUIRED)}),
     "solver": (SolverRequest, {"mode": (MODES, "closed_form"), "scheme": (SCHEMES, "explicit"),
                                "source": (int, 1), "norm_tolerance": (float, 1e-6)}),
-    "trajectories": (TrajectoryRequest, {"count": (int, 21), "span": (float, 3.0),
-                                         "dt": (float, None)}),
+    "trajectories": (TrajectoryRequest, {"count": (int, 21), "span": (float, 3.0)}),
     "output": (_split_select, {"select": (str, _REQUIRED)}),
 }
 _REQUIRED_SECTIONS = ("grid", "slit1", "output")
@@ -270,10 +271,6 @@ def parse_config(text: str, name: str = "scenario", overrides=()) -> Scenario:
                        "a phase shifter requires two sources ([slit2] missing)"))
     if built["solver"] and built["solver"].source == 2 and "slit2" not in sections:
         errors.append((section_lines["solver"], "solver source = 2 requires [slit2]"))
-    request, grid = built["trajectories"], built["grid"]
-    if request and grid and request.dt is not None and not request.dt < grid.t_max:
-        errors.append((section_lines["trajectories"],
-                       f"trajectory dt must be < grid t_max = {grid.t_max}, got {request.dt}"))
     names, outputs = built.pop("output"), ()
     if names is not None:
         line = sections["output"]["select"][1]
@@ -319,12 +316,12 @@ def _plan_errors(scenario: Scenario, section_lines: dict[str, int]) -> list[tupl
         errors.append((section_lines["grid"], f"grid of (nt + 1) * nx = {cells} values "
                                               f"exceeds the limit of {_MAX_VALUES}"))
     if "trajectories" in scenario.outputs:
-        request, dt = _trajectory_plan(scenario)
-        # both path routes sample ceil(t_max / dt) + 1 times, one column per seed
-        size = (grid.t_max / dt + 2.0) * request.count * (1 if scenario.slit2 is None else 2)
+        # both path routes sample _PATH_STEPS * nt + 1 times, one column per seed
+        count = (scenario.trajectories or TrajectoryRequest()).count
+        size = (_PATH_STEPS * grid.nt + 1) * count * (1 if scenario.slit2 is None else 2)
         if size > _MAX_VALUES:
-            errors.append((section_lines.get("trajectories", 0), f"trajectory table of about "
-                           f"{size:.3g} values exceeds the limit of {_MAX_VALUES}"))
+            errors.append((section_lines.get("trajectories", 0), f"trajectory table of "
+                           f"{size} values exceeds the limit of {_MAX_VALUES}"))
     return errors
 
 
@@ -338,8 +335,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         lines.append(f"[{sec}]")
         for key in keys:
             value = getattr(section, key)
-            if value is not None:
-                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
         lines.append("")
     lines += ["[output]", "select = " + ", ".join(scenario.outputs), ""]
     return "\n".join(lines)
@@ -446,13 +442,6 @@ def _solver_config(scenario: Scenario) -> SolverConfig:
                         norm_monitor_tolerance=req.norm_tolerance)
 
 
-def _trajectory_plan(scenario: Scenario) -> tuple[TrajectoryRequest, float]:
-    """The trajectory request and its path sampling step (a quarter of the
-    grid step unless set)."""
-    req = scenario.trajectories or TrajectoryRequest()
-    return req, req.dt if req.dt is not None else scenario.grid.dt / 4.0
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the analytic, solver and trajectory pipelines a scenario
     selects.  Single-source density comes from the solver when one is
@@ -482,13 +471,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
         produced["density"] = ScalarField(grid, gaussian_density(scenario.slit1, scenario.params, x, t))
 
     if "trajectories" in selected:
-        req, dt = _trajectory_plan(scenario)
+        req, steps = scenario.trajectories or TrajectoryRequest(), _PATH_STEPS * grid.nt
         if system is not None:
             produced["trajectories"] = double_slit_trajectories(
-                system, req.count, req.span, grid.t_max, dt)
+                system, req.count, req.span, grid.t_max, steps)
         else:
             produced["trajectories"] = single_slit_trajectories(
-                scenario.slit1, scenario.params, req.count, req.span, grid.t_max, dt)
+                scenario.slit1, scenario.params, req.count, req.span, grid.t_max, steps)
 
     return RunResult(scenario=scenario, outputs={name: produced[name] for name in selected})
 
@@ -639,8 +628,8 @@ def write_pgm(field: ScalarField, path, gamma: float = 1.0,
     encoding sign as 0 (negative), 128 (zero) or 255 (positive).  Pixels
     are built and written in blocks of rows.  Returns the paths written.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ParameterError(f"gamma must be > 0 and finite, got {gamma}")
     path = Path(path)
     values = field.values
     step = max(_PGM_CELLS // values.shape[1], 1)
@@ -677,8 +666,8 @@ def _check_output_options(formats: tuple[str, ...], gamma: float) -> None:
     if not formats or not set(formats) <= {"csv", "pgm"}:
         raise ParameterError(f"unsupported --format value {','.join(formats)!r}; "
                              "use csv, pgm or csv,pgm")
-    if not gamma > 0:
-        raise ParameterError(f"--gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ParameterError(f"--gamma must be > 0 and finite, got {gamma}")
 
 
 def write_outputs(result: RunResult, out_dir, formats=("csv",), gamma: float = 1.0) -> list[Path]:

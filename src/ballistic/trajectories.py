@@ -65,31 +65,29 @@ def seed_positions(source: SlitSource, count: int, span: float) -> np.ndarray:
     seed sits on the center."""
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    if not span > 0:
-        raise ParameterError(f"span must be > 0, got {span}")
+    if not 0 < span < math.inf:
+        raise ParameterError(f"span must be finite and > 0, got {span}")
     if count == 1:
         return np.zeros(1)
     half = span * source.sigma0
     return np.linspace(-half, half, count)
 
 
-def _sample_times(t_max: float, dt: float) -> np.ndarray:
-    """Times 0, h, ..., t_max of every path: dt is a target step, and the
-    actual step h = t_max / ceil(t_max / dt) hits the horizon exactly."""
+def _sample_times(t_max: float, steps: int) -> np.ndarray:
+    """Times 0, h, ..., t_max of every path, with h = t_max / steps."""
     if not (math.isfinite(t_max) and t_max > 0):
         raise ParameterError(f"t_max must be finite and > 0, got {t_max}")
-    if not dt > 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    steps = max(1, math.ceil(t_max / dt - 1e-12))
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     return np.arange(steps + 1) * (t_max / steps)
 
 
-def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
+def integrate(velocity: VelocityField, starts, t_max: float, steps: int,
               domain: tuple[float, float] | None = None):
     """RK4-integrate dx/dt = v(x, t) for a batch of starting points over
     the times of `_sample_times`; returns (times, positions, exited)."""
-    times = _sample_times(t_max, dt)
-    steps, h = times.size - 1, float(times[1])
+    times = _sample_times(t_max, steps)
+    h = float(times[1])
     x = np.array(starts, dtype=float).ravel()
     positions = np.empty((steps + 1, x.size))
     positions[0] = x
@@ -116,22 +114,22 @@ def integrate(velocity: VelocityField, starts, t_max: float, dt: float,
 
 
 def single_slit_trajectories(source: SlitSource, params: PhysicalParams,
-                             count: int, span: float, t_max: float, dt: float) -> TrajectorySet:
+                             count: int, span: float, t_max: float, steps: int) -> TrajectorySet:
     """Seed one slit and place each seed on its exact path at the times
-    `integrate` would step to."""
-    offsets, times = seed_positions(source, count, span), _sample_times(t_max, dt)
+    `integrate` steps to over `steps` equal steps."""
+    offsets, times = seed_positions(source, count, span), _sample_times(t_max, steps)
     return TrajectorySet(
         seeds=tuple(Seed(1, float(o)) for o in offsets), times=times,
         positions=trajectory_position(source, params, offsets[None, :], times[:, None]))
 
 
 def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
-                             t_max: float, dt: float) -> TrajectorySet:
+                             t_max: float, steps: int) -> TrajectorySet:
     """Seed both slits symmetrically, slit 1 first, and integrate all seeds
     at once through the emergent two-slit velocity field."""
     sources = (system.slit1, system.slit2)
     offsets = [seed_positions(source, count, span) for source in sources]
     starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
-    times, positions, _ = integrate(lambda x, t: field_velocity(system, x, t), starts, t_max, dt)
+    times, positions, _ = integrate(lambda x, t: field_velocity(system, x, t), starts, t_max, steps)
     seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
     return TrajectorySet(seeds=seeds, times=times, positions=positions)

@@ -249,7 +249,7 @@ def test_08_fringe_phase_coincidence():
 def test_09_trajectory_oracle(fig3a_run):
     xi0 = np.linspace(-3.0, 3.0, 21)
     times, positions, _ = integrate(lambda x, t: total_velocity(SOURCE, PARAMS, x, t),
-                                    SOURCE.center + xi0, 8.0, 0.02)
+                                    SOURCE.center + xi0, 8.0, 400)
     exact = trajectory_position(SOURCE, PARAMS, xi0[None, :], times[:, None])
     rk4_err = float(np.abs(positions - exact).max())
 

@@ -272,8 +272,35 @@ def test_run_scenario_two_sources():
     assert all(result.outputs[name].values.shape == shape for name in list(result.outputs)[:3])
     bundle = result.outputs["trajectories"]
     assert len(bundle.seeds) == 10
-    # default trajectory step is a quarter of the grid step
+    # paths take four steps per grid step
     assert bundle.times.size == 4 * sc.grid.nt + 1
+
+
+def test_single_slit_path_samples_land_on_grid_times():
+    # nt = 5182 is the first nt at t_max = 12 where a path step of grid.dt / 4
+    # gave ceil(t_max / dt) = 4 nt + 1 steps, so the samples missed the grid
+    sc = load_scenario("fig1", ["grid.nt=5182", "output.select=trajectories"])
+    times = run_scenario(sc).outputs["trajectories"].times
+    assert times.size == 4 * 5182 + 1
+    assert times[::4].tobytes() == sc.grid.times().tobytes()
+
+
+def test_double_slit_paths_take_four_steps_per_grid_step(monkeypatch):
+    calls = []
+
+    def record(system, count, span, t_max, steps):
+        calls.append((count, span, t_max, steps))
+        return TrajectorySet(seeds=(), times=np.array([0.0]), positions=np.zeros((1, 0)))
+
+    monkeypatch.setattr(cli, "double_slit_trajectories", record)
+    sc = load_scenario("fig4", ["grid.nt=5182", "output.select=trajectories"])
+    run_scenario(sc)
+    assert calls == [(21, 3.0, 12.0, 4 * 5182)]
+
+
+def test_trajectory_dt_is_an_unknown_key(tmp_path, capsys):
+    assert main(["fig4", "--out", str(tmp_path / "o"), "--override", "trajectories.dt=0.1"]) == 2
+    assert "unknown key 'dt' in section [trajectories]" in capsys.readouterr().err
 
 
 def test_run_scenario_skips_unselected_fields():
@@ -387,8 +414,9 @@ def test_pgm_gamma(tmp_path):
     write_pgm(ScalarField(grid, values), path, gamma=0.5)
     _, _, pixels = read_pgm(path)
     assert pixels[0, 1] == 128  # rint(255 * sqrt(0.25))
-    with pytest.raises(ParameterError):
-        write_pgm(ScalarField(grid, values), tmp_path / "bad.pgm", gamma=0.0)
+    for gamma in (0.0, math.inf):
+        with pytest.raises(ParameterError):
+            write_pgm(ScalarField(grid, values), tmp_path / "bad.pgm", gamma=gamma)
 
 
 def test_pgm_signed_companion(tmp_path):
@@ -495,7 +523,6 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("fig4", "shifter.total_shift=nan"),
     ("fig3a", "trajectories.span=inf"),
     ("fig1", "solver.norm_tolerance=inf"),
-    ("fig4", "trajectories.dt=inf"),
 ])
 def test_main_rejects_non_finite_values(tmp_path, capsys, target, override):
     out = tmp_path / "results"
@@ -530,7 +557,7 @@ def test_main_rejects_explicit_grid_unstable_before_t_max(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides,where", [
     (("grid.nx=10000000", "grid.nt=10000000", "output.select=density"), "line 2: grid of"),
-    (("trajectories.dt=1e-9", "output.select=trajectories"), "line 17: trajectory table"),
+    (("trajectories.count=10000000", "output.select=trajectories"), "line 17: trajectory table"),
 ])
 def test_main_rejects_oversized_plans(tmp_path, capsys, monkeypatch, overrides, where):
     def refuse(scenario):
@@ -543,21 +570,6 @@ def test_main_rejects_oversized_plans(tmp_path, capsys, monkeypatch, overrides, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert where in err and "exceeds the limit" in err
-
-
-@pytest.mark.parametrize("dt", ["12", "100"])
-def test_main_rejects_trajectory_dt_past_horizon(tmp_path, capsys, monkeypatch, dt):
-    def refuse(scenario):
-        raise AssertionError("a trajectory step past t_max reached run_scenario")
-
-    monkeypatch.setattr(cli, "run_scenario", refuse)
-    out = tmp_path / "o"
-    assert main(["fig4", "--out", str(out), "--override", f"trajectories.dt={dt}",
-                 "--override", "output.select=trajectories"]) == 2
-    assert (f"line 22: trajectory dt must be < grid t_max = 12.0, got {float(dt)}"
-            in capsys.readouterr().err)
-    assert not out.exists()
-    assert load_scenario("fig4", overrides=["trajectories.dt=11.9"]).trajectories.dt == 11.9
 
 
 def test_render_figures_stops_at_first_failure(tmp_path, capsys, monkeypatch):
@@ -634,7 +646,7 @@ def test_main_rejects_unknown_format(tmp_path, capsys):
     assert "unsupported --format" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
+@pytest.mark.parametrize("gamma", ["0", "-1", "nan", "inf"])
 def test_main_rejects_bad_gamma_before_running(tmp_path, capsys, monkeypatch, gamma):
     def refuse(scenario):
         raise AssertionError("a bad --gamma reached run_scenario")

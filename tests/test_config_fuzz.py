@@ -25,7 +25,7 @@ SANE = {
     "shifter": {"total_shift": "3.0", "t_start": "0.5", "t_end": "1.0"},
     "solver": {"mode": "closed_form", "scheme": "implicit", "source": "1",
                "norm_tolerance": "0.1"},
-    "trajectories": {"count": "3", "span": "2.0", "dt": "0.1"},
+    "trajectories": {"count": "3", "span": "2.0"},
     "output": {"select": "density"},
     "bogus": {"key": "1"},
 }

@@ -33,7 +33,7 @@ INVALID_FIG4_OVERRIDES = (
     ("output.select=density, bogus, density",),
     ("output.select=",),
     ("shifter.t_start=5", "grid.nt=0", "trajectories.count=0"),
-    ("slit2.center=-4.0", "trajectories.dt=-1"),
+    ("slit2.center=-4.0", "trajectories.count=2.5"),
     ("grid.x_min=abc", "trajectories.span=0", "params.hbar=x"),
 )
 

@@ -28,7 +28,7 @@ def two_slit_run():
     params = PhysicalParams()
     system = DoubleSlitSystem(slit1=SlitSource(center=-4.0),
                               slit2=SlitSource(center=4.0), params=params)
-    bundle = double_slit_trajectories(system, count=21, span=3.0, t_max=12.0, dt=0.0075)
+    bundle = double_slit_trajectories(system, count=21, span=3.0, t_max=12.0, steps=1600)
     return system, bundle
 
 
@@ -50,6 +50,10 @@ def test_seed_positions_validation():
         seed_positions(src, 0, 2.0)
     with pytest.raises(ParameterError):
         seed_positions(src, 5, 0.0)
+    with pytest.raises(ParameterError, match="finite"):
+        seed_positions(src, 3, math.inf)
+    with pytest.raises(ParameterError, match="finite"):
+        seed_positions(src, 3, math.nan)
 
 
 # --- container --------------------------------------------------------------
@@ -89,29 +93,33 @@ def one_packet(source, params):
 def test_integrate_validation(params, unit_source):
     v = one_packet(unit_source, params)
     with pytest.raises(ParameterError):
-        integrate(v, [0.0], 0.0, 0.01)
-    with pytest.raises(ParameterError):
-        integrate(v, [0.0], 1.0, -0.1)
+        integrate(v, [0.0], 0.0, 100)
+    with pytest.raises(ParameterError, match="steps"):
+        integrate(v, [0.0], 1.0, 0)
+    with pytest.raises(ParameterError, match="integer"):
+        integrate(v, [0.0], 1.0, 2.5)  # arange(3.5) would end past t_max
     with pytest.raises(ParameterError, match="finite"):
-        integrate(v, [0.0], math.inf, 0.1)
+        integrate(v, [0.0], math.inf, 10)
 
 
 def test_single_slit_rejects_infinite_horizon(params, unit_source):
     with pytest.raises(ParameterError, match="finite"):
-        single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=math.inf, dt=0.1)
+        single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=math.inf, steps=10)
 
 
-@pytest.mark.parametrize("t_max, dt", [(8.0, 0.02), (1.0, 0.3), (6.0, 0.05)])
-def test_single_slit_samples_the_integrator_times(params, unit_source, t_max, dt):
-    bundle = single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=t_max, dt=dt)
-    times, _, _ = integrate(one_packet(unit_source, params), [0.0], t_max, dt)
+@pytest.mark.parametrize("t_max, steps", [(8.0, 400), (1.0, 4), (6.0, 120)])
+def test_single_slit_samples_the_integrator_times(params, unit_source, t_max, steps):
+    bundle = single_slit_trajectories(unit_source, params, count=3, span=1.0, t_max=t_max,
+                                      steps=steps)
+    times, _, _ = integrate(one_packet(unit_source, params), [0.0], t_max, steps)
     assert bundle.times.tobytes() == times.tobytes()
+    assert bundle.times.size == steps + 1
     assert bundle.times[-1] == t_max
 
 
 def test_single_slit_paths_are_the_closed_form(params):
     src = SlitSource(center=1.5, sigma0=0.7, drift=-0.4)
-    bundle = single_slit_trajectories(src, params, count=5, span=2.0, t_max=3.0, dt=0.1)
+    bundle = single_slit_trajectories(src, params, count=5, span=2.0, t_max=3.0, steps=30)
     offsets = np.array([s.offset for s in bundle.seeds])
     exact = trajectory_position(src, params, offsets[None, :], bundle.times[:, None])
     assert np.array_equal(bundle.positions, exact)
@@ -119,9 +127,9 @@ def test_single_slit_paths_are_the_closed_form(params):
 
 
 def test_rk4_matches_algebraic_paths(params, unit_source):
-    # frozen max error 2.1e-10 at dt = 0.02
+    # frozen max error 2.1e-10 at 400 steps of 0.02
     xi0 = np.linspace(-3.0, 3.0, 21)
-    times, pos, _ = integrate(one_packet(unit_source, params), xi0, 8.0, 0.02)
+    times, pos, _ = integrate(one_packet(unit_source, params), xi0, 8.0, 400)
     exact = trajectory_position(unit_source, params, xi0[None, :], times[:, None])
     assert times[-1] == 8.0
     assert np.abs(pos - exact).max() < 1e-4
@@ -129,20 +137,20 @@ def test_rk4_matches_algebraic_paths(params, unit_source):
 
 def test_center_seed_never_moves(params):
     src = SlitSource(center=2.5)
-    _, pos, _ = integrate(one_packet(src, params), [2.5], 6.0, 0.05)
+    _, pos, _ = integrate(one_packet(src, params), [2.5], 6.0, 120)
     assert np.array_equal(pos, np.full((121, 1), 2.5))
 
 
 def test_drifting_center_seed_is_ballistic(params):
     src = SlitSource(center=0.0, drift=1.0)
-    times, pos, _ = integrate(one_packet(src, params), [0.0], 4.0, 0.05)
+    times, pos, _ = integrate(one_packet(src, params), [0.0], 4.0, 80)
     assert pos[:, 0] == pytest.approx(times, rel=1e-12, abs=1e-14)
 
 
 def test_width_seed_passes_through_kink(params, unit_source):
     # the path seeded one width out sits at sqrt(2) sigma0 at the kink time
     tk = kink_time(unit_source, params)
-    times, pos, _ = integrate(one_packet(unit_source, params), [-1.0, 0.0, 1.0], tk, 0.02)
+    times, pos, _ = integrate(one_packet(unit_source, params), [-1.0, 0.0, 1.0], tk, 100)
     assert times[-1] == tk
     assert abs(pos[-1, 2] - math.sqrt(2.0)) < 1e-3
 
@@ -154,7 +162,7 @@ def test_integrated_paths_keep_order(a, b):
     assume(b - a > 1e-3)
     params = PhysicalParams()
     src = SlitSource(center=0.0, sigma0=0.8)
-    _, pos, _ = integrate(one_packet(src, params), [a, b], 4.0, 0.05)
+    _, pos, _ = integrate(one_packet(src, params), [a, b], 4.0, 80)
     assert np.all(pos[:, 1] - pos[:, 0] > 0.0)
 
 
@@ -167,21 +175,21 @@ def unit_field(x, t):
 
 
 def test_integrator_holds_last_velocity_past_field_edge():
-    _, pos, exited = integrate(unit_field, [0.5], 2.0, 0.01)
+    _, pos, exited = integrate(unit_field, [0.5], 2.0, 200)
     # the path leaves the sampled window at t = 0.5 and coasts at the held speed
     assert pos[-1, 0] == pytest.approx(2.5, abs=1e-12)
     assert not exited[0]
 
 
 def test_integrator_freezes_on_domain_exit():
-    _, pos, exited = integrate(unit_field, [0.5], 2.0, 0.01, domain=(-2.0, 1.2))
+    _, pos, exited = integrate(unit_field, [0.5], 2.0, 200, domain=(-2.0, 1.2))
     assert exited[0]
     assert pos[-1, 0] <= 1.2
     assert np.ptp(pos[-50:, 0]) == 0.0
 
 
 def test_integrator_static_when_undefined_from_start():
-    _, pos, _ = integrate(unit_field, [3.0], 1.0, 0.1)
+    _, pos, _ = integrate(unit_field, [3.0], 1.0, 10)
     assert np.ptp(pos[:, 0]) == 0.0
 
 
