@@ -42,7 +42,7 @@ def main() -> int:
         grid = Grid(-15.0, 15.0, 301, T_MAX, nt)
         config = SolverConfig(grid=grid, source=SOURCE, params=PARAMS,
                               mode="local_recursion", scheme="implicit",
-                              norm_monitor_tolerance=0.9)
+                              norm_tolerance=0.9)
         try:
             result = solve(config)
         except NormDriftError as err:

@@ -8,6 +8,8 @@ broadcast over numpy arrays in x and t.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ParameterError, PhysicalParams, SlitSource, uncertainty_norm
@@ -18,7 +20,6 @@ __all__ = [
     "phase_space_density",
     "osmotic_velocity",
     "total_velocity",
-    "total_acceleration",
     "trajectory_position",
     "kink_time",
     "closed_form_diffusivity",
@@ -27,8 +28,15 @@ __all__ = [
 
 
 def _check_time(t) -> None:
-    if np.any(np.asarray(t) < 0):
-        raise ParameterError("time must be >= 0")
+    """Refuse any time that is not finite and >= 0 (NaN fails every
+    comparison); a Python or numpy float costs one chained comparison."""
+    if isinstance(t, (int, float)):
+        ok = 0.0 <= t < math.inf
+    else:
+        t = np.asarray(t)
+        ok = np.all((0.0 <= t) & (t < math.inf))
+    if not ok:
+        raise ParameterError("time must be finite and >= 0")
 
 
 def _offset(source: SlitSource, x, t):
@@ -77,14 +85,6 @@ def total_velocity(source: SlitSource, params: PhysicalParams, x, t):
     u0 = source.u0(params)
     sig2 = sigma_at(source, params, t) ** 2
     return source.drift + _offset(source, x, t) * u0**2 * t / sig2
-
-
-def total_acceleration(source: SlitSource, params: PhysicalParams, x, t):
-    """Time derivative of total_velocity along a trajectory:
-    xi(t) u0^2 sigma0^2 / sigma(t)^4."""
-    u0 = source.u0(params)
-    sig2 = sigma_at(source, params, t) ** 2
-    return _offset(source, x, t) * u0**2 * source.sigma0**2 / sig2**2
 
 
 def trajectory_position(source: SlitSource, params: PhysicalParams, xi0, t):

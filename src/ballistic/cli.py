@@ -36,7 +36,8 @@ from .core import Grid, ParameterError, PhysicalParams, ScalarField, SlitSource,
 from .analytic import gaussian_density
 from .interference import DoubleSlitSystem, PhaseShifterSchedule, intensity_grid
 from .fdm import MODES, SCHEMES, NormDriftError, SolverConfig, StabilityError, solve
-from .trajectories import TrajectorySet, double_slit_trajectories, single_slit_trajectories
+from .trajectories import (TrajectorySet, _check_seeding, double_slit_trajectories,
+                           single_slit_trajectories)
 
 __all__ = [
     "ConfigError",
@@ -89,17 +90,14 @@ _PATH_STEPS = 4
 
 @dataclass(frozen=True)
 class TrajectoryRequest:
-    """Seeds per slit and their spread in slit widths; every path is
-    sampled at _PATH_STEPS * grid.nt + 1 times."""
+    """Seeds per slit and their spread in slit widths, checked as `seed_positions`
+    checks them; every path is sampled at _PATH_STEPS * grid.nt + 1 times."""
 
     count: int = 21
     span: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ParameterError(f"trajectory count must be >= 1, got {self.count}")
-        if not 0 < self.span < math.inf:
-            raise ParameterError(f"trajectory span must be finite and > 0, got {self.span}")
+        _check_seeding(self.count, self.span)
 
 
 @dataclass(frozen=True)
@@ -439,7 +437,7 @@ def _solver_config(scenario: Scenario) -> SolverConfig:
     req = scenario.solver
     return SolverConfig(grid=scenario.grid, source=scenario.slit1 if req.source == 1 else scenario.slit2,
                         params=scenario.params, mode=req.mode, scheme=req.scheme,
-                        norm_monitor_tolerance=req.norm_tolerance)
+                        norm_tolerance=req.norm_tolerance)
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -591,8 +589,8 @@ def write_field_csv(field: ScalarField, path) -> None:
 
 
 def write_trajectories_csv(trajectories: TrajectorySet, path) -> None:
-    """Rows are seed_id,t,x grouped by seed."""
-    _write_csv(path, "seed_id,t,x", np.arange(len(trajectories.seeds)),
+    """Rows are seed_id,t,x grouped by path; seed_id is the path's column."""
+    _write_csv(path, "seed_id,t,x", np.arange(trajectories.positions.shape[1]),
                trajectories.positions.T, trajectories.times)
 
 

@@ -35,6 +35,14 @@ def _require_finite(**values: float) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def _require_int(name: str, value, minimum: int) -> None:
+    """An int (Python or numpy) >= minimum; 2.5 or 5.0 is refused, not rounded."""
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Unit-system anchor.
@@ -105,12 +113,10 @@ class Grid:
             raise ParameterError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         if not math.isfinite(self.x_max - self.x_min):
             raise ParameterError(f"x_max - x_min must be finite, got [{self.x_min}, {self.x_max}]")
-        if self.nx < 3:
-            raise ParameterError(f"nx must be >= 3, got {self.nx}")
+        _require_int("nx", self.nx, 3)
         if not self.t_max > 0:
             raise ParameterError(f"t_max must be > 0, got {self.t_max}")
-        if self.nt < 1:
-            raise ParameterError(f"nt must be >= 1, got {self.nt}")
+        _require_int("nt", self.nt, 1)
 
     @property
     def dx(self) -> float:

@@ -170,7 +170,8 @@ class SolverConfig:
     the domain must keep at least 4 sigma(t_max) between the packet center
     and either edge so the zero boundary stays starved of density.  The
     explicit scheme additionally requires the planned dt to pass
-    check_stability.
+    check_stability.  norm_tolerance (the [solver] key of that name) bounds
+    the total mass's drift from 1 at every step.
     """
 
     grid: Grid
@@ -178,16 +179,16 @@ class SolverConfig:
     params: PhysicalParams = PhysicalParams()
     mode: str = "closed_form"
     scheme: str = "explicit"
-    norm_monitor_tolerance: float = 1e-6
+    norm_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scheme not in SCHEMES:
             raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        _require_finite(norm_monitor_tolerance=self.norm_monitor_tolerance)
-        if not self.norm_monitor_tolerance > 0:
-            raise ParameterError("norm_monitor_tolerance must be > 0")
+        _require_finite(norm_tolerance=self.norm_tolerance)
+        if not self.norm_tolerance > 0:
+            raise ParameterError("norm_tolerance must be > 0")
         if self.source.drift != 0.0:
             raise ParameterError("solver requires a non-drifting source (drift = 0)")
         sig_end = float(sigma_at(self.source, self.params, self.grid.t_max))
@@ -255,10 +256,10 @@ def solve(config: SolverConfig) -> SolveResult:
             flagged += hits
         norms[n + 1] = density[n + 1].sum() * dx
         drift = abs(norms[n + 1] - 1.0)
-        if not drift <= config.norm_monitor_tolerance:  # a NaN mass fails too
+        if not drift <= config.norm_tolerance:  # a NaN mass fails too
             raise NormDriftError(
                 f"mass drift {drift:.6g} exceeds tolerance "
-                f"{config.norm_monitor_tolerance:.6g} at step {n + 1} "
+                f"{config.norm_tolerance:.6g} at step {n + 1} "
                 f"(t = {(n + 1) * dt:.6g}, mass = {norms[n + 1]:.17g})"
             )
 

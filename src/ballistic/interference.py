@@ -30,8 +30,8 @@ import numpy as np
 
 from .core import (Grid, ParameterError, PhysicalParams, ScalarField, SlitSource,
                    _require_finite, _usable_cpus)
-# bound here only for bench/tracing.py, which wraps it; the kernel inlines sigma(t)^2
-from .analytic import sigma_at  # noqa: F401
+# sigma_at: bound here only for bench/tracing.py to wrap; the kernel inlines sigma(t)^2
+from .analytic import _check_time, sigma_at  # noqa: F401
 
 __all__ = [
     "PhaseShifterSchedule",
@@ -153,8 +153,7 @@ def two_slit_fields(system: DoubleSlitSystem, x, t) -> _Fields:
     floats, whose pow rounds differently from numpy's.
     """
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-    if (t < 0) if isinstance(t, float) else np.any(t < 0):
-        raise ParameterError("time must be >= 0")
+    _check_time(t)
     slope, offset, factors = _time_factors(system, t)
     slits = []
     for slit, (centre, exponent, norm, osmotic, spreading, rate) in zip(

@@ -1,6 +1,9 @@
 """Bohm-type trajectories: the exact paths of one packet, and fixed-step
 classical RK4 paths through the emergent two-slit velocity field.
 
+Paths are stored one column each, in seed order, slit 1's first; that order
+is the record of which slit a path came from.
+
 Velocity callbacks of `integrate` may return NaN where the field is undefined
 (density nulls of a two-slit system); that stage then reuses the path's last
 defined step-start velocity (zero before any).  Leaving the optional spatial
@@ -15,14 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ParameterError, PhysicalParams, SlitSource
-from .analytic import trajectory_position
-# bound here only for bench/tracing.py, which wraps it; no run path calls it
-from .analytic import total_velocity  # noqa: F401
+from .core import ParameterError, PhysicalParams, SlitSource, _require_int
+# total_velocity: bound here only for bench/tracing.py to wrap; no run path calls it
+from .analytic import total_velocity, trajectory_position  # noqa: F401
 from .interference import DoubleSlitSystem, field_velocity
 
 __all__ = [
-    "Seed",
     "TrajectorySet",
     "seed_positions",
     "integrate",
@@ -34,39 +35,36 @@ VelocityField = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
-class Seed:
-    """Starting offset xi0 relative to the center of one slit."""
-
-    slit: int
-    offset: float
-
-
-@dataclass(frozen=True)
 class TrajectorySet:
-    """Paths of a seed bundle; takes over and freezes the arrays it is given."""
+    """Paths sampled at shared times, one column of positions per path in
+    seed order, slit 1's first; takes over and freezes the arrays it is
+    given."""
 
-    seeds: tuple[Seed, ...]
     times: np.ndarray
-    positions: np.ndarray  # (len(times), len(seeds))
+    positions: np.ndarray  # (len(times), number of paths)
 
     def __post_init__(self) -> None:
         for name in ("times", "positions"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.positions.shape != (self.times.size, len(self.seeds)):
-            raise ParameterError("positions shape does not match times and seeds")
+        if self.positions.ndim != 2 or len(self.positions) != self.times.size:
+            raise ParameterError("positions shape does not match times")
         if not np.all(np.isfinite(self.positions)):
             raise ParameterError("trajectory positions must stay finite")
+
+
+def _check_seeding(count: int, span: float) -> None:
+    """The seeding rule, for `seed_positions` and [trajectories] alike."""
+    _require_int("trajectory count", count, 1)
+    if not 0 < span < math.inf:
+        raise ParameterError(f"trajectory span must be finite and > 0, got {span}")
 
 
 def seed_positions(source: SlitSource, count: int, span: float) -> np.ndarray:
     """Uniform seed offsets over [-span sigma0, +span sigma0]; a single
     seed sits on the center."""
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if not 0 < span < math.inf:
-        raise ParameterError(f"span must be finite and > 0, got {span}")
+    _check_seeding(count, span)
     if count == 1:
         return np.zeros(1)
     half = span * source.sigma0
@@ -77,8 +75,7 @@ def _sample_times(t_max: float, steps: int) -> np.ndarray:
     """Times 0, h, ..., t_max of every path, with h = t_max / steps."""
     if not (math.isfinite(t_max) and t_max > 0):
         raise ParameterError(f"t_max must be finite and > 0, got {t_max}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
+    _require_int("steps", steps, 1)
     return np.arange(steps + 1) * (t_max / steps)
 
 
@@ -115,21 +112,18 @@ def integrate(velocity: VelocityField, starts, t_max: float, steps: int,
 
 def single_slit_trajectories(source: SlitSource, params: PhysicalParams,
                              count: int, span: float, t_max: float, steps: int) -> TrajectorySet:
-    """Seed one slit and place each seed on its exact path at the times
+    """Place one slit's seeds on their exact paths at the times
     `integrate` steps to over `steps` equal steps."""
     offsets, times = seed_positions(source, count, span), _sample_times(t_max, steps)
-    return TrajectorySet(
-        seeds=tuple(Seed(1, float(o)) for o in offsets), times=times,
-        positions=trajectory_position(source, params, offsets[None, :], times[:, None]))
+    return TrajectorySet(times=times, positions=trajectory_position(
+        source, params, offsets[None, :], times[:, None]))
 
 
 def double_slit_trajectories(system: DoubleSlitSystem, count: int, span: float,
                              t_max: float, steps: int) -> TrajectorySet:
-    """Seed both slits symmetrically, slit 1 first, and integrate all seeds
+    """Start paths in both slits alike, slit 1's first, and integrate them all
     at once through the emergent two-slit velocity field."""
-    sources = (system.slit1, system.slit2)
-    offsets = [seed_positions(source, count, span) for source in sources]
-    starts = np.concatenate([s.center + o for s, o in zip(sources, offsets)])
+    starts = np.concatenate([slit.center + seed_positions(slit, count, span)
+                             for slit in (system.slit1, system.slit2)])
     times, positions, _ = integrate(lambda x, t: field_velocity(system, x, t), starts, t_max, steps)
-    seeds = tuple(Seed(slit, float(o)) for slit, offs in enumerate(offsets, 1) for o in offs)
-    return TrajectorySet(seeds=seeds, times=times, positions=positions)
+    return TrajectorySet(times=times, positions=positions)

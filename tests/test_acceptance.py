@@ -257,7 +257,8 @@ def test_09_trajectory_oracle(fig3a_run):
     gaps = np.diff(two_slit.positions, axis=1)
     report(9, "trajectory-oracle", [
         (rk4_err <= 1e-4, f"integrator departs from the closed form by {rk4_err:.3e}"),
-        (len(two_slit.seeds) == 42, f"expected 42 seeds, got {len(two_slit.seeds)}"),
+        (two_slit.positions.shape[1] == 42,
+         f"expected 42 paths, got {two_slit.positions.shape[1]}"),
         (bool(np.all(gaps > 0.0)), f"paths cross (min gap {gaps.min():.3e})"),
     ])
 

@@ -16,7 +16,6 @@ from ballistic import (
     phase,
     phase_space_density,
     sigma_at,
-    total_acceleration,
     total_velocity,
     trajectory_position,
 )
@@ -39,6 +38,23 @@ def test_sigma_at_values(params, unit_source):
 def test_sigma_at_rejects_negative_time(params, unit_source):
     with pytest.raises(ParameterError):
         sigma_at(unit_source, params, -0.1)
+
+
+# NaN fails `t < 0` as well as `t >= 0`, so each of these once passed
+TIME_CHECKED = {
+    "sigma_at": sigma_at,
+    "closed_form_diffusivity": closed_form_diffusivity,
+    "phase": lambda src, p, t: phase(src, p, 0.5, t),
+}
+
+
+@pytest.mark.parametrize("function", TIME_CHECKED)
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([math.nan, 1.0]),
+                               np.array([0.0, math.inf])],
+                         ids=["nan", "inf", "-inf", "array_nan", "array_inf"])
+def test_non_finite_time_rejected(params, unit_source, function, t):
+    with pytest.raises(ParameterError, match="finite and >= 0"):
+        TIME_CHECKED[function](unit_source, params, t)
 
 
 @given(sigma0=widths, t=times)
@@ -125,26 +141,6 @@ def test_total_velocity_is_trajectory_derivative(params):
             dxdt = (trajectory_position(s, params, xi0, t + h)
                     - trajectory_position(s, params, xi0, t - h)) / (2 * h)
             assert total_velocity(s, params, x_t, t) == pytest.approx(dxdt, rel=1e-6, abs=1e-9)
-
-
-def test_total_acceleration_values(params, unit_source):
-    assert total_acceleration(unit_source, params, 0.0, 3.0) == 0.0
-    assert total_acceleration(unit_source, params, 2.0, 0.0) == pytest.approx(0.5, rel=1e-15)
-    # decays along a fixed starting offset as the packet spreads
-    far = total_acceleration(unit_source, params, 2.0, 50.0)
-    assert abs(far) < 1e-3
-
-
-def test_total_acceleration_is_velocity_derivative(params):
-    s = SlitSource(center=0.0, sigma0=1.0, drift=0.2)
-    h = 1e-5
-    for xi0 in (-1.0, 0.5, 1.5):
-        for t in (0.5, 2.0):
-            v_plus = total_velocity(s, params, trajectory_position(s, params, xi0, t + h), t + h)
-            v_minus = total_velocity(s, params, trajectory_position(s, params, xi0, t - h), t - h)
-            dvdt = (v_plus - v_minus) / (2 * h)
-            x_t = trajectory_position(s, params, xi0, t)
-            assert total_acceleration(s, params, x_t, t) == pytest.approx(dvdt, rel=1e-6, abs=1e-9)
 
 
 def test_trajectory_position_center_is_classical(params):

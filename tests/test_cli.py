@@ -12,7 +12,6 @@ from ballistic import (
     Grid,
     ParameterError,
     ScalarField,
-    Seed,
     TrajectorySet,
     gaussian_density,
 )
@@ -271,7 +270,7 @@ def test_run_scenario_two_sources():
     shape = (sc.grid.nt + 1, sc.grid.nx)
     assert all(result.outputs[name].values.shape == shape for name in list(result.outputs)[:3])
     bundle = result.outputs["trajectories"]
-    assert len(bundle.seeds) == 10
+    assert bundle.positions.shape[1] == 10
     # paths take four steps per grid step
     assert bundle.times.size == 4 * sc.grid.nt + 1
 
@@ -290,7 +289,7 @@ def test_double_slit_paths_take_four_steps_per_grid_step(monkeypatch):
 
     def record(system, count, span, t_max, steps):
         calls.append((count, span, t_max, steps))
-        return TrajectorySet(seeds=(), times=np.array([0.0]), positions=np.zeros((1, 0)))
+        return TrajectorySet(times=np.array([0.0]), positions=np.zeros((1, 0)))
 
     monkeypatch.setattr(cli, "double_slit_trajectories", record)
     sc = load_scenario("fig4", ["grid.nt=5182", "output.select=trajectories"])
@@ -336,8 +335,7 @@ def test_field_csv_layout(tmp_path):
 def test_trajectories_csv_layout(tmp_path):
     times = np.array([0.0, 0.5, 1.0])
     positions = np.array([[1.0, 2.0], [1.1, 2.2], [1.2, 2.4]])
-    bundle = TrajectorySet(seeds=(Seed(1, -1.0), Seed(2, 1.0)), times=times,
-                           positions=positions)
+    bundle = TrajectorySet(times=times, positions=positions)
     path = tmp_path / "paths.csv"
     write_trajectories_csv(bundle, path)
     lines = path.read_text().splitlines()
@@ -350,8 +348,7 @@ def test_trajectories_csv_layout(tmp_path):
 
 
 def test_trajectories_csv_empty_bundle(tmp_path):
-    bundle = TrajectorySet(seeds=(), times=np.array([0.0]),
-                           positions=np.zeros((1, 0)))
+    bundle = TrajectorySet(times=np.array([0.0]), positions=np.zeros((1, 0)))
     path = tmp_path / "paths.csv"
     write_trajectories_csv(bundle, path)
     assert path.read_text() == "seed_id,t,x\n"
@@ -523,6 +520,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
     ("fig4", "shifter.total_shift=nan"),
     ("fig3a", "trajectories.span=inf"),
     ("fig1", "solver.norm_tolerance=inf"),
+    ("fig1", "solver.norm_tolerance=nan"),
 ])
 def test_main_rejects_non_finite_values(tmp_path, capsys, target, override):
     out = tmp_path / "results"
@@ -530,6 +528,16 @@ def test_main_rejects_non_finite_values(tmp_path, capsys, target, override):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "finite" in err
+    assert not out.exists()
+
+
+def test_main_rejects_zero_norm_tolerance(tmp_path, capsys):
+    # the config key, the SolverConfig field and the message share one name
+    out = tmp_path / "results"
+    assert main(["fig1", "--out", str(out), "--override", "solver.norm_tolerance=0"]) == 2
+    err = capsys.readouterr().err
+    assert "line 13: norm_tolerance must be > 0" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

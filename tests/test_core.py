@@ -83,12 +83,23 @@ def test_grid_spacings():
     dict(t_max=0.0),
     dict(t_max=-1.0),
     dict(nt=0),
+    dict(nt=5.0),
 ])
 def test_grid_validation(kw):
     base = dict(x_min=-1.0, x_max=1.0, nx=11, t_max=1.0, nt=10)
     base.update(kw)
     with pytest.raises(ParameterError):
         Grid(**base)
+
+
+def test_grid_counts_must_be_integers():
+    # nt = 2.5 once gave times() up to 1.2, past t_max = 1.0
+    with pytest.raises(ParameterError, match=r"^nt must be an integer, got 2\.5$"):
+        Grid(-1.0, 1.0, 5, 1.0, 2.5)
+    with pytest.raises(ParameterError, match=r"^nx must be an integer, got 4\.5$"):
+        Grid(-1.0, 1.0, 4.5, 1.0, 3)
+    g = Grid(-1.0, 1.0, np.int64(5), 1.0, np.int32(2))
+    assert g.x().size == 5 and g.times().size == 3
 
 
 @pytest.mark.parametrize("build", [
@@ -187,6 +198,6 @@ def test_package_exports_each_module_all():
     modules = (ballistic.core, ballistic.analytic, ballistic.interference,
                ballistic.fdm, ballistic.trajectories)
     names = ballistic.__all__
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 36
     assert set(names) == {n for m in modules for n in m.__all__} | {"__version__"}
     assert all(hasattr(ballistic, name) for name in names)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ballistic import Grid, ScalarField, Seed, TrajectorySet
+from ballistic import Grid, ScalarField, TrajectorySet
 from ballistic import cli
 from ballistic.cli import (
     load_scenario,
@@ -71,8 +71,7 @@ def fields(draw):
 @st.composite
 def bundles(draw):
     n_times, n_seeds = draw(st.integers(1, 6)), draw(st.integers(0, 5))
-    return TrajectorySet(seeds=tuple(Seed(1, float(i)) for i in range(n_seeds)),
-                         times=draw(finite_arrays(n_times)),
+    return TrajectorySet(times=draw(finite_arrays(n_times)),
                          positions=draw(finite_arrays((n_times, n_seeds))))
 
 
@@ -92,11 +91,11 @@ def test_field_csv_bytes(workdir, field):
 
 
 @given(bundles())
-@example(TrajectorySet(seeds=(Seed(1, 0.0), Seed(2, 0.0)), times=np.array([-0.0]),
+@example(TrajectorySet(times=np.array([-0.0]),
                        positions=np.array([[5e-324, -1.7976931348623157e308]])))
-@example(TrajectorySet(seeds=(), times=np.array([0.0, 0.5]), positions=np.zeros((2, 0))))
+@example(TrajectorySet(times=np.array([0.0, 0.5]), positions=np.zeros((2, 0))))
 def test_trajectories_csv_bytes(workdir, bundle):
-    n_seeds, n_times = len(bundle.seeds), bundle.times.size
+    n_times, n_seeds = bundle.positions.shape
     columns = [np.repeat(np.arange(n_seeds), n_times), np.tile(bundle.times, n_seeds),
                bundle.positions.T.ravel()]
     expected = savetxt_bytes(workdir / "oracle.csv", "seed_id,t,x", columns, ["%d", "%.17g", "%.17g"])

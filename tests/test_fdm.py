@@ -252,7 +252,7 @@ def test_config_rejects_unknown_names(unit_source, field, value):
 
 def test_config_rejects_nonpositive_tolerance(unit_source):
     with pytest.raises(ParameterError):
-        SolverConfig(grid=small_grid(), source=unit_source, norm_monitor_tolerance=0.0)
+        SolverConfig(grid=small_grid(), source=unit_source, norm_tolerance=0.0)
 
 
 def test_config_runs_stability_check_for_explicit(unit_source):
@@ -376,7 +376,7 @@ def test_recursion_solve_holds_two_fields_at_peak():
     # local_recursion keeps its per-cell coefficient as a second field
     grid = Grid(x_min=-15.0, x_max=15.0, nx=301, t_max=2.0, nt=200)
     config = SolverConfig(grid=grid, source=SlitSource(center=0.0), mode="local_recursion",
-                          scheme="implicit", norm_monitor_tolerance=1.0)
+                          scheme="implicit", norm_tolerance=1.0)
     peak, result = peak_solve_bytes(config)
     assert peak < 2.5 * result.density.values.nbytes
 
@@ -391,7 +391,7 @@ def test_solve_vanishing_hbar_freezes_packet():
 
 def test_solve_trips_on_tiny_tolerance(unit_source):
     config = SolverConfig(grid=small_grid(), source=unit_source,
-                          norm_monitor_tolerance=1e-18)
+                          norm_tolerance=1e-18)
     with pytest.raises(NormDriftError, match="mass drift"):
         solve(config)
 
@@ -411,7 +411,7 @@ def recursion_solve(nt):
     grid = Grid(x_min=-15.0, x_max=15.0, nx=301, t_max=2.0, nt=nt)
     config = SolverConfig(grid=grid, source=SlitSource(center=0.0),
                           mode="local_recursion", scheme="implicit",
-                          norm_monitor_tolerance=0.9)
+                          norm_tolerance=0.9)
     return solve(config)
 
 

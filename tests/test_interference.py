@@ -525,7 +525,9 @@ FIELDS = {
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("t", [-0.1, np.array([0.0, 1.0, -1e-9])], ids=["scalar", "array"])
+@pytest.mark.parametrize("t", [-0.1, np.array([0.0, 1.0, -1e-9]), math.nan, math.inf,
+                               np.array([0.0, math.nan])],
+                         ids=["scalar", "array", "nan", "inf", "array_nan"])
 def test_negative_time_rejected(params, field, t):
     with pytest.raises(ParameterError):
         FIELDS[field](mirrored(params), 0.5, t)

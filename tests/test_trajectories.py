@@ -8,7 +8,6 @@ from ballistic import (
     DoubleSlitSystem,
     ParameterError,
     PhysicalParams,
-    Seed,
     SlitSource,
     TrajectorySet,
     double_slit_trajectories,
@@ -45,10 +44,13 @@ def test_seed_positions_single_seed_centers():
 
 
 def test_seed_positions_validation():
+    # the [trajectories] config section words its errors the same way
     src = SlitSource(center=0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^trajectory count must be >= 1, got 0$"):
         seed_positions(src, 0, 2.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^trajectory count must be an integer, got 2\.5$"):
+        seed_positions(src, 2.5, 2.0)
+    with pytest.raises(ParameterError, match=r"^trajectory span must be finite and > 0, got 0\.0$"):
         seed_positions(src, 5, 0.0)
     with pytest.raises(ParameterError, match="finite"):
         seed_positions(src, 3, math.inf)
@@ -60,18 +62,19 @@ def test_seed_positions_validation():
 
 def test_trajectory_set_rejects_shape_mismatch():
     with pytest.raises(ParameterError, match="shape"):
-        TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(3), positions=np.zeros((2, 1)))
+        TrajectorySet(times=np.zeros(3), positions=np.zeros((2, 1)))
+    with pytest.raises(ParameterError, match="shape"):  # one path, but not as a column
+        TrajectorySet(times=np.zeros(2), positions=np.zeros(2))
 
 
 def test_trajectory_set_rejects_nan():
     with pytest.raises(ParameterError, match="finite"):
-        TrajectorySet(seeds=(Seed(1, 0.0),), times=np.zeros(2),
-                      positions=np.array([[0.0], [math.nan]]))
+        TrajectorySet(times=np.zeros(2), positions=np.array([[0.0], [math.nan]]))
 
 
 def test_trajectory_set_is_read_only():
     times, positions = np.zeros(2), np.zeros((2, 1))
-    ts = TrajectorySet(seeds=(Seed(1, 0.0),), times=times, positions=positions)
+    ts = TrajectorySet(times=times, positions=positions)
     assert not ts.positions.flags.writeable
     assert not ts.times.flags.writeable
     # float64 arrays are taken over, not copied
@@ -80,7 +83,7 @@ def test_trajectory_set_is_read_only():
 
 
 def test_trajectory_set_accepts_empty_bundle():
-    ts = TrajectorySet(seeds=(), times=np.array([0.0]), positions=np.zeros((1, 0)))
+    ts = TrajectorySet(times=np.array([0.0]), positions=np.zeros((1, 0)))
     assert ts.positions.shape == (1, 0)
 
 
@@ -120,10 +123,10 @@ def test_single_slit_samples_the_integrator_times(params, unit_source, t_max, st
 def test_single_slit_paths_are_the_closed_form(params):
     src = SlitSource(center=1.5, sigma0=0.7, drift=-0.4)
     bundle = single_slit_trajectories(src, params, count=5, span=2.0, t_max=3.0, steps=30)
-    offsets = np.array([s.offset for s in bundle.seeds])
+    offsets = seed_positions(src, 5, 2.0)
+    assert np.array_equal(bundle.positions[0], src.center + offsets)
     exact = trajectory_position(src, params, offsets[None, :], bundle.times[:, None])
     assert np.array_equal(bundle.positions, exact)
-    assert [s.slit for s in bundle.seeds] == [1] * 5
 
 
 def test_rk4_matches_algebraic_paths(params, unit_source):
@@ -196,12 +199,13 @@ def test_integrator_static_when_undefined_from_start():
 # --- two-slit bundles -------------------------------------------------------
 
 def test_double_slit_seed_bundle_layout(two_slit_run):
-    _, bundle = two_slit_run
-    assert len(bundle.seeds) == 42
-    assert all(s.slit == 1 for s in bundle.seeds[:21])
-    assert all(s.slit == 2 for s in bundle.seeds[21:])
-    offsets = [s.offset for s in bundle.seeds[:21]]
-    assert offsets == np.linspace(-3.0, 3.0, 21).tolist()
+    # one column per path, slit 1's 21 first, each starting at its seed
+    system, bundle = two_slit_run
+    assert bundle.positions.shape == (bundle.times.size, 42)
+    for columns, slit in ((slice(0, 21), system.slit1), (slice(21, 42), system.slit2)):
+        start = slit.center + seed_positions(slit, 21, 3.0)
+        assert np.array_equal(bundle.positions[0, columns], start)
+    assert np.array_equal(seed_positions(system.slit1, 21, 3.0), np.linspace(-3.0, 3.0, 21))
 
 
 def test_double_slit_paths_never_cross(two_slit_run):
