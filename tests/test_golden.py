@@ -1,6 +1,7 @@
 """Golden outputs: the exact scenario.txt of every preset, the sha256 of
-every file each preset writes at a reduced grid and at full size, and the
-exact error list for invalid fig4 overrides.
+every file each preset writes at a reduced grid and at full size and of
+every file of fig1's reduced explicit run, and the exact error list for
+invalid fig4 overrides.
 
 The digests in golden.json pin the bytes the CLI writes, so a refactor of
 the config or output layers is proved against recorded values rather than
@@ -21,6 +22,10 @@ from ballistic.cli import PRESETS, ConfigError, load_scenario, main, serialize_s
 GOLDEN = Path(__file__).with_name("golden.json")
 
 REDUCED = ("grid.nx=141", "grid.nt=80", "trajectories.count=5")
+
+# the explicit fig1 run that CI also makes with the installed command
+EXPLICIT = ("solver.scheme=explicit", "grid.nx=281", "grid.t_max=2", "grid.nt=40",
+            "trajectories.count=3")
 
 INVALID_FIG4_OVERRIDES = (
     ("grid.nx=lots",),
@@ -74,6 +79,10 @@ def test_preset_full_digests(golden, tmp_path, capsys, name):
     assert output_digests(name, tmp_path) == golden["full_sha256"][name]
 
 
+def test_fig1_explicit_digests(golden, tmp_path, capsys):
+    assert output_digests("fig1", tmp_path, EXPLICIT) == golden["explicit_sha256"]["fig1"]
+
+
 @pytest.mark.parametrize("overrides", INVALID_FIG4_OVERRIDES, ids=" ".join)
 def test_fig4_error_list(golden, overrides):
     assert config_errors(overrides) == golden["fig4_errors"][" ".join(overrides)]
@@ -87,6 +96,7 @@ if __name__ == "__main__":
             "scenario_txt": {n: serialize_scenario(load_scenario(n)) for n in sorted(PRESETS)},
             "reduced_sha256": {n: output_digests(n, Path(tmp) / n, REDUCED) for n in sorted(PRESETS)},
             "full_sha256": {n: output_digests(n, Path(tmp) / "full" / n) for n in sorted(PRESETS)},
+            "explicit_sha256": {"fig1": output_digests("fig1", Path(tmp) / "explicit", EXPLICIT)},
             "fig4_errors": {" ".join(o): config_errors(o) for o in INVALID_FIG4_OVERRIDES},
         }
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
