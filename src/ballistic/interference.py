@@ -72,7 +72,7 @@ class PhaseShifterSchedule:
 
     def value_at(self, t):
         start, span = self.t_start, self.t_end - self.t_start
-        if np.ndim(t) == 0:  # scalar times stay Python floats
+        if isinstance(t, float) or np.ndim(t) == 0:  # scalar times stay Python floats
             t = float(t)
             frac = min(max((t - start) / span, 0.0), 1.0) if span > 0 else float(t > start)
         else:
@@ -152,7 +152,8 @@ def two_slit_fields(system: DoubleSlitSystem, x, t) -> _Fields:
     field's peak, not bit for bit: a scalar t's time factors are Python
     floats, whose pow rounds differently from numpy's.
     """
-    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    # a float (np.float64 included) skips np.ndim; other scalars still take it
+    t = float(t) if isinstance(t, float) or np.ndim(t) == 0 else np.asarray(t, dtype=float)
     _check_time(t)
     slope, offset, factors = _time_factors(system, t)
     slits = []

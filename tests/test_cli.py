@@ -728,17 +728,19 @@ def test_main_norm_drift_abort(tmp_path, capsys):
     ("explicit", ["solver.scheme=explicit", "grid.nx=281", "grid.t_max=2", "grid.nt=40"]),
 ])
 def test_main_nan_step_is_norm_drift(tmp_path, capsys, monkeypatch, scheme, overrides):
-    # a step that returns a NaN cell fails the mass monitor at that step
-    real, calls = getattr(fdm, f"{scheme}_step"), []
+    # a step that writes a NaN cell fails the mass monitor at that step:
+    # closed-form solves take each step with one call of the scheme's helper
+    helper = {"explicit": "_stencil", "implicit": "_band_solve"}[scheme]
+    real, calls = getattr(fdm, helper), []
 
-    def poisoned(row, coefficient, dx, dt):
-        new = real(row, coefficient, dx, dt)
+    def poisoned(*args):
+        new = real(*args)
         calls.append(None)
         if len(calls) == 3:
             new[new.size // 2] = np.nan
         return new
 
-    monkeypatch.setattr(fdm, f"{scheme}_step", poisoned)
+    monkeypatch.setattr(fdm, helper, poisoned)
     argv = ["fig1", "--out", str(tmp_path / "o")]
     for item in overrides:
         argv += ["--override", item]
@@ -747,6 +749,22 @@ def test_main_nan_step_is_norm_drift(tmp_path, capsys, monkeypatch, scheme, over
     assert err.startswith("norm drift failure: mass drift nan")
     assert "at step 3 " in err and len(err.splitlines()) == 1
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides,mass", [
+    (["grid.nx=3"], "13.962979814050145"),
+    (["grid.t_max=1e-300", "grid.nx=41"], "1.0031754410247753"),
+])
+def test_main_initial_mass_is_monitored(tmp_path, capsys, overrides, mass):
+    # a grid too coarse for the initial packet fails before the first step
+    argv = ["fig1", "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--override", item]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("norm drift failure: mass drift ")
+    assert f" at step 0 (t = 0, mass = {mass})\n" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_failed_run_keeps_existing_out(tmp_path, capsys):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ballistic import (
     Grid,
@@ -18,6 +18,8 @@ from ballistic import (
     explicit_step,
     gaussian_density,
     implicit_step,
+    kink_time,
+    sigma_at,
     solve,
 )
 from ballistic.fdm import SCHEMES
@@ -403,6 +405,60 @@ def test_explicit_and_implicit_solves_agree(unit_source):
     a, b = exp.density.values[-1], imp.density.values[-1]
     gap = np.linalg.norm(a - b) / np.linalg.norm(a)
     assert gap < 5e-3
+
+
+def chained_public_steps(config):
+    # the closed-form solve written out with the public steps, row by row
+    grid, src, p = config.grid, config.source, config.params
+    step = explicit_step if config.scheme == "explicit" else implicit_step
+    coeff = closed_form_diffusivity(src, p, grid.times())
+    rows = [gaussian_density(src, p, grid.x(), 0.0)]
+    for n in range(grid.nt):
+        rows.append(step(rows[-1], coeff[n + 1], grid.dx, grid.dt))
+    return np.array(rows), np.array([row.sum() * grid.dx for row in rows])
+
+
+def assert_solve_is_chained_steps(config):
+    result = solve(config)
+    density, norms = chained_public_steps(config)
+    assert result.density.values.tobytes() == density.tobytes()
+    assert result.norm_trace.tobytes() == norms.tobytes()
+
+
+@given(st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=0.5, max_value=4.0),
+       st.integers(min_value=1, max_value=30), st.floats(min_value=1.0, max_value=1.01),
+       st.floats(min_value=-1.0, max_value=1.0))
+def test_explicit_solve_is_chained_public_steps(sigma0, t_max, nt, stretch, center):
+    # dx sits at the explicit bound of the last step, r = D_t(t_max) dt / dx^2
+    # = 1/2, and stretch = 1 puts r on the edge within rounding
+    source, params = SlitSource(center=center, sigma0=sigma0), PhysicalParams()
+    d_end = float(closed_form_diffusivity(source, params, t_max))
+    dx = stretch * math.sqrt(2.0 * d_end * t_max / nt)
+    half = 4.0 * float(sigma_at(source, params, t_max)) + dx
+    nx = 2 * math.ceil(half / dx) + 1
+    grid = Grid(x_min=center - 0.5 * (nx - 1) * dx, x_max=center + 0.5 * (nx - 1) * dx,
+                nx=nx, t_max=t_max, nt=nt)
+    try:
+        config = SolverConfig(grid=grid, source=source, params=params, norm_tolerance=1.0)
+    except StabilityError:  # rounding put r a hair past 1/2
+        assume(False)
+    assert_solve_is_chained_steps(config)
+
+
+@given(st.floats(min_value=0.3, max_value=1.5), st.floats(min_value=0.5, max_value=6.0),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4),
+       st.floats(min_value=-1.0, max_value=1.0))
+def test_implicit_solve_is_chained_public_steps(sigma0, kinks, nt, per_sigma0, center):
+    # each step spans up to 6 kink times t_kink = sigma0^2 / D, on cells
+    # fine enough for the initial packet
+    source, params = SlitSource(center=center, sigma0=sigma0), PhysicalParams()
+    t_max = nt * kinks * kink_time(source, params)
+    half = 4.5 * float(sigma_at(source, params, t_max))
+    nx = 2 * math.ceil(half * per_sigma0 / sigma0) + 1
+    grid = Grid(x_min=center - half, x_max=center + half, nx=nx, t_max=t_max, nt=nt)
+    config = SolverConfig(grid=grid, source=source, params=params, scheme="implicit",
+                          norm_tolerance=1.0)
+    assert_solve_is_chained_steps(config)
 
 
 # --- full solves, local recursion -------------------------------------------

@@ -481,6 +481,24 @@ def test_scalar_time_matches_a_time_column_to_rounding(system, t, x):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
+@pytest.mark.parametrize("t", [2.5, np.float64(2.5), np.float32(0.7), 2, np.array(0.7),
+                               np.array(0.7, dtype=np.float32)],
+                         ids=["float", "float64", "float32", "int", "0-d", "0-d_float32"])
+def test_scalar_times_of_every_type_are_their_float(params, t):
+    # every 0-d time is taken as float(t): a float32 keeps its own rounding
+    # (0.699999988...), and a float or np.float64 is already that float
+    sched = PhaseShifterSchedule(total_shift=2.5, t_start=0.5, t_end=3.0)
+    system = DoubleSlitSystem(slit1=SlitSource(center=-3.0, sigma0=0.7, drift=0.2),
+                              slit2=SlitSource(center=4.0, sigma0=1.1, drift=-0.4),
+                              params=params, shifter=sched, include_energy_term=True)
+    x = np.linspace(-8.0, 8.0, 33)
+    got, want = two_slit_fields(system, x, t), two_slit_fields(system, x, float(t))
+    for name in got._fields:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    value = sched.value_at(t)
+    assert type(value) is float and value == sched.value_at(float(t))
+
+
 def test_intensity_grid_matches_pointwise_fields(params, monkeypatch):
     sched = PhaseShifterSchedule(total_shift=2.5, t_start=1.0, t_end=3.0)
     sys = DoubleSlitSystem(slit1=SlitSource(center=-3.0, sigma0=0.7, drift=0.2),
